@@ -1,6 +1,6 @@
 """Performance benchmark for the routing kernel, search and sweep engine.
 
-Thirteen sections, each asserting that the fast path computes *exactly*
+Fifteen sections, each asserting that the fast path computes *exactly*
 what the slow path computes before reporting any speedup:
 
 * ``cover_kernel`` -- the bitmask cover search
@@ -38,6 +38,14 @@ what the slow path computes before reporting any speedup:
   (:mod:`repro.workloads` hotspot and heavy-tail fanout models)
   against the serial bitmask sweep, pooled estimates and every
   ``(workload, m, seed)`` replication compared bit-for-bit;
+* ``generate`` -- absolute traffic-generation speed (events/s) of
+  every generative workload x model, each stream compared event for
+  event with the frozen reference generator kept in
+  ``tests/workloads/generator_oracle.py`` and its pinned stream
+  digests re-hashed (identity-only: ``speedup`` is pinned at 1.0);
+* ``topology`` -- every registered fabric model replaying the same
+  compiled streams on every state backend, per-replication identity
+  plus the crossbar zero-blocking oracle (identity-only);
 * ``exact_search`` -- the symmetry-canonicalized exhaustive model
   checker (:func:`repro.api.exact_m`) against the uncanonicalized
   reference search, asserting identical per-m verdicts and thresholds;
@@ -1006,6 +1014,114 @@ def bench_workloads(quick: bool, reps: int) -> dict:
     }
 
 
+def _load_generator_oracle():
+    """The frozen reference generator kept with the test suite."""
+    import importlib.util
+
+    path = (
+        Path(__file__).resolve().parent.parent
+        / "tests" / "workloads" / "generator_oracle.py"
+    )
+    spec = importlib.util.spec_from_file_location("generator_oracle", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def bench_generate(quick: bool, reps: int) -> dict:
+    """Traffic generation throughput per workload x model, identity-checked.
+
+    Generation is the dominant layer of a blocking estimate, so this
+    section reports its absolute speed: events/s of each generative
+    workload's ``events`` stream (every registered model except
+    ``trace``, which replays a recording) under each multicast model,
+    over ``seeds`` x antithetic streams.  Each stream is compared event
+    for event with the frozen sorted-set reference generator from
+    ``tests/workloads/generator_oracle.py`` (timed once, as
+    ``reference_events_per_s``), and the oracle's pinned sha256 stream
+    digests are re-hashed from the production generator.  The section
+    is identity-only: ``speedup`` is 1.0 by construction and the
+    regression guard watches ``identical``.
+    """
+    from repro.workloads import workload_class, workload_names
+    from repro.workloads.keys import stream_rng
+
+    oracle = _load_generator_oracle()
+    n_ports, k = (16, 4) if quick else (64, 8)
+    steps = 1000 if quick else 2000
+    seeds = (0, 1)
+    configs = [
+        workload_class(name)() for name in workload_names() if name != "trace"
+    ]
+
+    def records(events):
+        return [oracle.event_record(event) for event in events]
+
+    cells = []
+    diverged: list[dict] = []
+    for config in configs:
+        for model in MulticastModel:
+
+            def run(events):
+                return [
+                    list(
+                        events(
+                            model, n_ports, k,
+                            steps=steps,
+                            rng=stream_rng(seed, antithetic),
+                            max_fanout=None,
+                        )
+                    )
+                    for seed in seeds
+                    for antithetic in (False, True)
+                ]
+
+            fresh_s, fresh = _best(lambda: run(config.events), reps)
+            reference_s, reference = _best(
+                lambda: run(oracle.reference_events(config)), 1
+            )
+            events = sum(len(stream) for stream in fresh)
+            if list(map(records, fresh)) != list(map(records, reference)):
+                diverged.append(
+                    {"workload": config.workload, "model": model.name}
+                )
+            cells.append(
+                {
+                    "workload": config.workload,
+                    "model": model.name,
+                    "events": events,
+                    "events_per_s": events / fresh_s,
+                    "reference_events_per_s": events / reference_s,
+                }
+            )
+    for case in oracle.PINNED_STREAMS:
+        config, model, pin_ports, pin_k, seed, antithetic, max_fanout = case[:7]
+        length, digest = case[7:]
+        stream = config.events(
+            model, pin_ports, pin_k,
+            steps=length,
+            rng=stream_rng(seed, antithetic),
+            max_fanout=max_fanout,
+        )
+        if oracle.stream_digest(stream) != digest:
+            diverged.append(
+                {"workload": config.workload, "model": model.name,
+                 "pinned_digest": digest}
+            )
+    return {
+        "config": {
+            "n_ports": n_ports, "k": k, "steps": steps, "seeds": seeds,
+            "antithetic": [False, True],
+            "workloads": [config.workload for config in configs],
+            "pinned_streams": len(oracle.PINNED_STREAMS),
+        },
+        "cells": cells,
+        "diverged_cells": diverged,
+        "speedup": 1.0,
+        "identical": not diverged,
+    }
+
+
 def bench_topology(quick: bool, reps: int) -> dict:
     """Every registered fabric model head-to-head on one shared stream.
 
@@ -1313,6 +1429,7 @@ def main(argv: list[str] | None = None) -> int:
         ("fused", lambda: bench_fused(args.quick, reps)),
         ("wide", lambda: bench_wide(args.quick, reps)),
         ("workloads", lambda: bench_workloads(args.quick, reps)),
+        ("generate", lambda: bench_generate(args.quick, reps)),
         ("topology", lambda: bench_topology(args.quick, reps)),
         ("exact_search", lambda: bench_exact_search(args.quick, reps)),
         ("cache", lambda: bench_cache(args.quick, reps)),

@@ -43,6 +43,7 @@ from repro.core.models import Construction, MulticastModel
 __all__ = [
     "MultistageDesign",
     "NonblockingBound",
+    "check_middle_count",
     "is_nonblocking",
     "is_nonblocking_maw_dominant",
     "is_nonblocking_msw_dominant",
@@ -68,6 +69,17 @@ def _check_topology(n: int, r: int, k: int) -> None:
         raise ValueError(f"module count r must be >= 1, got {r}")
     if k < 1:
         raise ValueError(f"wavelength count k must be >= 1, got {k}")
+
+
+def check_middle_count(m: int) -> None:
+    """Reject a middle-stage count below 1 with the one shared message.
+
+    The serial simulator's topology, the engine geometry and the batch
+    engine all validate ``m`` through here, so every kernel words a bad
+    ``m`` the same way.
+    """
+    if m < 1:
+        raise ValueError(f"middle count m must be >= 1, got {m}")
 
 
 def valid_x_range(n: int, r: int) -> range:

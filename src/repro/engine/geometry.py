@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 from repro.core.models import Construction, MulticastModel
-from repro.core.multistage import valid_x_range
+from repro.core.multistage import check_middle_count, valid_x_range
 from repro.engine.fabrics import FabricSpec, get_fabric
 from repro.engine.planes import PlaneLayout
 
@@ -64,8 +64,7 @@ class FabricGeometry:
                 f"x={self.x} outside the legal range "
                 f"[{legal_x[0]}, {legal_x[-1]}] for n={self.n}, r={self.r}"
             )
-        if self.m < 1:
-            raise ValueError(f"m must be >= 1, got {self.m}")
+        check_middle_count(self.m)
         get_fabric(self.fabric).validate_geometry(self)
 
     @property

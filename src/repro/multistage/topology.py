@@ -15,6 +15,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.core.multistage import check_middle_count
+
 __all__ = ["ThreeStageTopology"]
 
 
@@ -39,8 +41,7 @@ class ThreeStageTopology:
             raise ValueError(f"module port count n must be >= 1, got {self.n}")
         if self.r < 1:
             raise ValueError(f"module count r must be >= 1, got {self.r}")
-        if self.m < 1:
-            raise ValueError(f"middle count m must be >= 1, got {self.m}")
+        check_middle_count(self.m)
         if self.k < 1:
             raise ValueError(f"wavelength count k must be >= 1, got {self.k}")
 

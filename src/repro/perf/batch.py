@@ -58,7 +58,7 @@ from typing import TYPE_CHECKING
 
 from repro import obs as _obs
 from repro.core.models import Construction, MulticastModel
-from repro.core.multistage import valid_x_range
+from repro.core.multistage import check_middle_count, valid_x_range
 from repro.engine.backends import (
     BACKEND_ENV,
     BACKENDS,
@@ -414,8 +414,7 @@ def _simulate(
     if not m_values:
         return 0, []
     for m in m_values:
-        if m < 1:
-            raise ValueError(f"m must be >= 1, got {m}")
+        check_middle_count(m)
     spec = get_fabric(fabric)
     geometries = [
         FabricGeometry(

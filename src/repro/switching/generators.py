@@ -17,6 +17,7 @@ the caller, so every test and benchmark is reproducible.
 from __future__ import annotations
 
 import random
+from bisect import bisect_left, insort
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 from typing import Literal
@@ -28,6 +29,7 @@ from repro.switching.requests import Endpoint, MulticastAssignment, MulticastCon
 __all__ = [
     "AntitheticRandom",
     "AssignmentGenerator",
+    "FreeEndpoints",
     "TrafficEvent",
     "draw_connection",
     "dynamic_traffic",
@@ -38,7 +40,8 @@ __all__ = [
 FanoutPicker = Callable[[random.Random, int], int]
 #: workload hook: ``(rng, port_options, fanout) -> ports`` where
 #: ``port_options`` maps each eligible output port to its admissible
-#: wavelengths (ascending); must return ``fanout`` distinct keys
+#: wavelengths (ascending); its keys arrive in ascending port order.
+#: Must return ``fanout`` distinct keys
 PortPicker = Callable[[random.Random, dict[int, list[int]], int], list[int]]
 
 
@@ -157,24 +160,94 @@ class TrafficEvent:
     connection_id: int
 
 
+class FreeEndpoints:
+    """The free endpoints of one traffic stream, kept sorted as it runs.
+
+    :func:`draw_connection` draws from sorted sequences; this index keeps
+    them sorted incrementally (``bisect``) instead of re-sorting the free
+    sets on every draw.  Endpoint codes are ``port * k + wavelength``,
+    whose numeric order equals :class:`Endpoint` order.  Input and output
+    endpoints are separate spaces:
+
+    * ``inputs`` -- free input codes, ascending;
+    * ``ports_on[w]`` -- output ports with wavelength ``w`` free;
+    * ``wavelengths_at[p]`` -- free wavelengths of output port ``p``;
+    * ``ports`` -- output ports with any wavelength free;
+    * ``endpoint[code]`` -- the interned :class:`Endpoint` of a code.
+
+    :meth:`take` and :meth:`give` must be handed connections drawn from
+    this index (``take`` while their endpoints are free, ``give`` once
+    taken); the index does not re-check that.
+    """
+
+    __slots__ = ("k", "endpoint", "inputs", "ports_on", "wavelengths_at", "ports")
+
+    def __init__(self, n_ports: int, k: int):
+        codes = range(n_ports * k)
+        self.k = k
+        self.endpoint = [Endpoint(*divmod(code, k)) for code in codes]
+        self.inputs = list(codes)
+        self.ports_on = [list(range(n_ports)) for _ in range(k)]
+        self.wavelengths_at = [list(range(k)) for _ in range(n_ports)]
+        self.ports = list(range(n_ports)) if k else []
+
+    def take(self, connection: MulticastConnection) -> None:
+        """Mark a freshly drawn connection's endpoints busy."""
+        source = connection.source
+        inputs = self.inputs
+        del inputs[bisect_left(inputs, source.port * self.k + source.wavelength)]
+        ports_on = self.ports_on
+        wavelengths_at = self.wavelengths_at
+        for destination in connection.destinations:
+            port = destination.port
+            wavelength = destination.wavelength
+            on = ports_on[wavelength]
+            del on[bisect_left(on, port)]
+            at = wavelengths_at[port]
+            del at[bisect_left(at, wavelength)]
+            if not at:
+                ports = self.ports
+                del ports[bisect_left(ports, port)]
+
+    def give(self, connection: MulticastConnection) -> None:
+        """Free a taken connection's endpoints again."""
+        source = connection.source
+        insort(self.inputs, source.port * self.k + source.wavelength)
+        ports_on = self.ports_on
+        wavelengths_at = self.wavelengths_at
+        for destination in connection.destinations:
+            port = destination.port
+            wavelength = destination.wavelength
+            insort(ports_on[wavelength], port)
+            at = wavelengths_at[port]
+            if not at:
+                insort(self.ports, port)
+            insort(at, wavelength)
+
+
 def draw_connection(
     rng: random.Random,
     model: MulticastModel,
-    k: int,
     cap: int,
-    free_inputs: set[int],
-    free_outputs: set[int],
+    free: FreeEndpoints,
     pick_fanout: FanoutPicker | None = None,
     pick_ports: PortPicker | None = None,
 ) -> MulticastConnection | None:
-    """One feasible random connection over the free endpoint sets.
+    """One feasible random connection over the free endpoints.
 
     The single draw sequence every traffic model shares (source
     endpoint, admissible wavelength, fanout, destination ports,
     per-port wavelength); :func:`dynamic_traffic` and the
     continuous-time Poisson/Erlang workload both route through it, so
-    endpoint feasibility is stated once.  Endpoints are int codes
-    ``port * k + wavelength``.
+    endpoint feasibility is stated once.  The caller takes the drawn
+    connection out of ``free`` (:meth:`FreeEndpoints.take`).
+
+    Every draw picks from an ascending sequence -- free input codes,
+    eligible ports, a port's free wavelengths -- so the stream is the
+    one a re-sort of the free sets on every draw would give.  The
+    per-destination wavelength draw runs even when a port offers a
+    single wavelength (MSW/MSDW): ``choice`` of one element still
+    consumes random bits.
 
     The two hooks are the workload seam: ``pick_fanout`` replaces the
     uniform fanout draw (heavy-tail group sizes), ``pick_ports`` the
@@ -186,37 +259,48 @@ def draw_connection(
     Returns None when no feasible connection exists (no free input, or
     no output port offers an admissible wavelength).
     """
-    if not free_inputs:
+    inputs = free.inputs
+    if not inputs:
         return None
-    source_code = rng.choice(sorted(free_inputs))
-    source = Endpoint(*divmod(source_code, k))
-    if model is MulticastModel.MSW:
-        allowed: int | None = source.wavelength
-    elif model is MulticastModel.MSDW:
-        allowed = rng.randrange(k)
+    k = free.k
+    endpoint = free.endpoint
+    source = endpoint[rng.choice(inputs)]
+    if model is MulticastModel.MAW:
+        ports = free.ports
+        options: list[list[int]] | dict[int, list[int]] | None = (
+            free.wavelengths_at
+        )
     else:
-        allowed = None  # MAW: every wavelength admissible
-    # Ports that offer a free endpoint on an allowed wavelength; codes
-    # iterate in sorted order so per-port wavelength lists ascend.
-    port_options: dict[int, list[int]] = {}
-    for code in sorted(free_outputs):
-        port, wavelength = divmod(code, k)
-        if allowed is None or wavelength == allowed:
-            port_options.setdefault(port, []).append(wavelength)
-    if not port_options:
+        wavelength = (
+            source.wavelength if model is MulticastModel.MSW
+            else rng.randrange(k)
+        )
+        ports = free.ports_on[wavelength]
+        options = None  # every eligible port offers just `wavelength`
+    if not ports:
         return None
-    fanout_cap = min(cap, len(port_options))
+    fanout_cap = min(cap, len(ports))
     if pick_fanout is None:
         fanout = rng.randint(1, fanout_cap)
     else:
         fanout = max(1, min(fanout_cap, pick_fanout(rng, fanout_cap)))
     if pick_ports is None:
-        ports = rng.sample(sorted(port_options), fanout)
+        chosen = rng.sample(ports, fanout)
     else:
-        ports = pick_ports(rng, port_options, fanout)
-    destinations = [
-        Endpoint(port, rng.choice(port_options[port])) for port in ports
-    ]
+        options = {
+            port: [wavelength] if options is None else list(options[port])
+            for port in ports
+        }
+        chosen = pick_ports(rng, options, fanout)
+    if options is None:
+        only = [wavelength]
+        destinations = [
+            endpoint[port * k + rng.choice(only)] for port in chosen
+        ]
+    else:
+        destinations = [
+            endpoint[port * k + rng.choice(options[port])] for port in chosen
+        ]
     return MulticastConnection(source, destinations)
 
 
@@ -238,10 +322,10 @@ def dynamic_traffic(
     connections a legal multicast assignment under ``model``; a
     nonblocking network must therefore accept every setup event.
 
-    Endpoints are tracked internally as int codes ``port * k +
-    wavelength`` (whose numeric order equals ``Endpoint`` order), so the
-    per-event bookkeeping sorts machine ints instead of dataclasses --
-    the generator sits on the hot path of every Monte-Carlo sweep.
+    Free endpoints live in a :class:`FreeEndpoints` index that each
+    setup and teardown updates in place, so no event re-sorts the free
+    sets -- the generator sits on the hot path of every Monte-Carlo
+    sweep.
 
     Args:
         model: multicast model the connections must obey.
@@ -263,52 +347,28 @@ def dynamic_traffic(
     if cap < 1:
         raise ValueError(f"max_fanout must allow at least one destination, got {cap}")
 
-    free_inputs: set[int] = {
-        port * k + wavelength
-        for port in range(n_ports)
-        for wavelength in range(k)
-    }
-    free_outputs: set[int] = set(free_inputs)
+    free = FreeEndpoints(n_ports, k)
     active: dict[int, MulticastConnection] = {}
     next_id = 0
 
-    def try_setup() -> MulticastConnection | None:
-        return draw_connection(
-            rng, model, k, cap, free_inputs, free_outputs,
-            pick_fanout, pick_ports,
-        )
-
-    def release(connection: MulticastConnection) -> None:
-        free_inputs.add(connection.source.port * k + connection.source.wavelength)
-        free_outputs.update(
-            d.port * k + d.wavelength for d in connection.destinations
-        )
-
     for _ in range(steps):
-        do_teardown = active and (
-            rng.random() < teardown_probability or not free_inputs
+        tear_down = active and (
+            rng.random() < teardown_probability or not free.inputs
         )
-        if do_teardown:
-            connection_id = rng.choice(sorted(active))
-            connection = active.pop(connection_id)
-            release(connection)
-            yield TrafficEvent("teardown", connection, connection_id)
-            continue
-        connection = try_setup()
+        connection = None if tear_down else draw_connection(
+            rng, model, cap, free, pick_fanout, pick_ports
+        )
         if connection is None:
             if not active:
                 return  # nothing to do in either direction
-            connection_id = rng.choice(sorted(active))
+            # Ids enter `active` in ascending order and a dict keeps
+            # insertion order, so list(active) == sorted(active).
+            connection_id = rng.choice(list(active))
             connection = active.pop(connection_id)
-            release(connection)
+            free.give(connection)
             yield TrafficEvent("teardown", connection, connection_id)
             continue
-        free_inputs.discard(
-            connection.source.port * k + connection.source.wavelength
-        )
-        free_outputs.difference_update(
-            d.port * k + d.wavelength for d in connection.destinations
-        )
+        free.take(connection)
         active[next_id] = connection
         yield TrafficEvent("setup", connection, next_id)
         next_id += 1

@@ -76,8 +76,9 @@ class HotspotConfig(WorkloadConfig):
         ) -> list[int]:
             # Weighted sampling without replacement by cumulative scan:
             # O(fanout * ports), deterministic, and exact for the tiny
-            # port counts of a fabric (no float-sum reordering).
-            ports = sorted(port_options)
+            # port counts of a fabric (no float-sum reordering).  The
+            # keys already ascend (see PortPicker), so no sort.
+            ports = list(port_options)
             weights = [weight_of[port] for port in ports]
             chosen: list[int] = []
             for _ in range(fanout):

@@ -107,3 +107,23 @@ class TestExactEquivalence:
         second = api.exact_m(2, 2, 1, x=1, m_max=4, execution=execution)
         assert first.m_exact == second.m_exact
         assert list(tmp_path.iterdir())  # entries were stored
+
+
+class TestBadMiddleCount:
+    """Every kernel rejects ``m < 1`` with one wording."""
+
+    @pytest.mark.parametrize("kernel", ["reference", "bitmask", "batched"])
+    @pytest.mark.parametrize("m", [0, -2])
+    def test_blocking_wording_is_shared(self, kernel, m):
+        with pytest.raises(
+            ValueError, match=rf"^middle count m must be >= 1, got {m}$"
+        ):
+            api.blocking(2, 2, m, 1, search=api.SearchConfig(kernel=kernel))
+
+    @pytest.mark.parametrize("kernel", ["reference", "bitmask", "batched"])
+    def test_sweep_wording_is_shared(self, kernel):
+        with pytest.raises(
+            ValueError, match=r"^middle count m must be >= 1, got 0$"
+        ):
+            api.sweep(2, 2, 1, m_values=[0, 1],
+                      search=api.SearchConfig(kernel=kernel))

@@ -34,6 +34,7 @@ GUARDED = dict(
     fused=4.0,
     wide=9.0,
     workloads=10.0,
+    generate=1.0,
     topology=1.0,
     adaptive=2.5,
 )
@@ -171,7 +172,7 @@ class TestCommittedBaseline:
             assert baseline[name]["identical"] is True
             # Exempt entries (the fused section recorded without numba)
             # carry interpreted timings that never gate anything, and
-            # identity-only sections (topology) pin their speedup at
-            # exactly 1.0 by construction.
+            # identity-only sections (generate, topology) pin their
+            # speedup at exactly 1.0 by construction.
             if not baseline[name].get("guard_exempt"):
                 assert baseline[name]["speedup"] >= 1.0

@@ -5,9 +5,10 @@ contract ``compile_stream`` assumes: unique setup ids, teardowns of
 live connections, feasible endpoints) and must be a pure function of
 its RNG stream.  ``uniform`` additionally carries the compatibility
 contract of the whole redesign: bit-identical events to the
-historical generator for golden seeds.  The non-uniform models get
-distribution-shape assertions -- the point of shipping them is that
-they are *not* uniform.
+historical generator (the frozen reference in ``generator_oracle``)
+for golden seeds.  The non-uniform models get distribution-shape
+assertions -- the point of shipping them is that they are *not*
+uniform.
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ from __future__ import annotations
 import pytest
 
 from repro.core.models import MulticastModel
-from repro.switching.generators import dynamic_traffic
 from repro.workloads import (
     HeavyTailFanoutConfig,
     HotspotConfig,
@@ -25,6 +25,7 @@ from repro.workloads import (
     workload_names,
 )
 from repro.workloads.keys import stream_rng
+from tests.workloads.generator_oracle import dynamic_traffic as legacy_traffic
 
 GOLDEN_SEEDS = (0, 7, 12345)
 STEPS = 250
@@ -94,7 +95,7 @@ class TestUniformBitIdentity:
     @pytest.mark.parametrize("antithetic", [False, True])
     def test_events_equal_the_legacy_generator(self, model, seed, antithetic):
         legacy = list(
-            dynamic_traffic(
+            legacy_traffic(
                 model, 9, 2, steps=STEPS, seed=stream_rng(seed, antithetic)
             )
         )
@@ -108,7 +109,7 @@ class TestUniformBitIdentity:
 
     def test_max_fanout_passes_through(self):
         legacy = list(
-            dynamic_traffic(
+            legacy_traffic(
                 MulticastModel.MAW, 9, 1,
                 steps=STEPS, seed=stream_rng(3), max_fanout=2,
             )

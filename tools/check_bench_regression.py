@@ -46,7 +46,9 @@ from pathlib import Path
 #: probe_cover shortcut must never lose to the composition it
 #: short-circuits), ``wide`` at 3.0 (the multi-word numpy backend over
 #: the serial path wide fabrics were once gated onto) and ``adaptive``
-#: at 2.0 (the matched-precision event ratio).
+#: at 2.0 (the matched-precision event ratio).  ``topology`` and
+#: ``generate`` are identity-only: their speedup is pinned at 1.0, so
+#: guarding them only requires the section to run and stay identical.
 GUARDED_SECTIONS = (
     "cover_kernel",
     "engine",
@@ -55,6 +57,7 @@ GUARDED_SECTIONS = (
     "fused",
     "wide",
     "workloads",
+    "generate",
     "topology",
     "adaptive",
 )
