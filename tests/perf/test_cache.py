@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import shutil
 from concurrent.futures import ProcessPoolExecutor
 
@@ -342,3 +343,61 @@ class TestSweepIntegration:
         assert parallel == serial
         # Every cell of the second run came from the cache.
         assert cache.stats.hits - hits_before == 2 * len(self.CONFIG["seeds"])
+
+
+# -- semantic fingerprint ----------------------------------------------------
+#
+# CODE_VERSION is bumped by hand, so nothing stops a refactor from changing
+# what a cached cell means while keeping the version.  This digest pins the
+# replay semantics themselves: counts, releases, cause histograms and the
+# full explain_block-shaped cause dicts of a small fixed replay set, on the
+# per-event python backend and on the fused kernel (interpreted).  A change
+# to the digest is a semantic change: bump CODE_VERSION, then re-pin.
+
+#: the built-in fabric models (every fabric registered at import time).
+FINGERPRINT_FABRICS = ("clos", "crossbar", "awg_clos")
+#: (n, r, k, x, m_values, steps, seed): one single-word shape and one whose
+#: module masks straddle the 62-bit word boundary (r = 63).
+FINGERPRINT_SHAPES = (
+    (3, 3, 2, 2, (1, 2, 3, 5), 150, 3),
+    (3, 63, 2, 2, (2, 4), 60, 11),
+)
+SEMANTIC_FINGERPRINT = (
+    "10432782f7e6a3a31c21c836ac803986c9471eda07aa946acd1addd14ab27522"
+)
+
+
+def _semantic_fingerprint(monkeypatch) -> str:
+    from repro.engine.fabrics import get_fabric
+    from repro.engine.fused import FUSED_ENV
+    from repro.perf.batch import _simulate
+
+    monkeypatch.setenv(FUSED_ENV, "1")
+    digest = hashlib.sha256()
+    for n, r, k, x, m_values, steps, seed in FINGERPRINT_SHAPES:
+        for fabric in FINGERPRINT_FABRICS:
+            spec = get_fabric(fabric)
+            for construction in spec.constructions or tuple(Construction):
+                for model in MulticastModel:
+                    for backend in ("python", "numba"):
+                        attempts, reps = _simulate(
+                            n, r, k, construction, model, x, steps, None,
+                            seed, list(m_values), backend,
+                            record_causes=True, fabric=fabric,
+                        )
+                        for m, rep in zip(m_values, reps):
+                            record = (
+                                backend, fabric, construction.value,
+                                model.value, n, r, k, m,
+                                attempts, rep.blocked, rep.releases,
+                                sorted(rep.kind_counts.items()),
+                                repr(rep.causes),
+                            )
+                            digest.update(repr(record).encode())
+    return digest.hexdigest()
+
+
+def test_semantic_fingerprint_is_pinned(monkeypatch):
+    """Replay semantics are unchanged since CODE_VERSION was last set."""
+    pytest.importorskip("numpy", reason="the fused kernel runs on numpy")
+    assert _semantic_fingerprint(monkeypatch) == SEMANTIC_FINGERPRINT
