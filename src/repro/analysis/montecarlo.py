@@ -558,7 +558,7 @@ def _blocking_probability_impl(
             ignored by the other kernels, never affects results.
         backend: under ``routing_kernel("batched")``, the fabric-state
             backend for the lockstep replay (``"auto"``, ``"python"``,
-            ``"numpy"``, ``"numba"`` or a registered name); ignored by
+            ``"numba"`` or a registered name); ignored by
             the other kernels, never affects results.
         workload: a registered traffic model from
             :mod:`repro.workloads` (None = uniform, the historical

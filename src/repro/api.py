@@ -197,7 +197,7 @@ class ExecConfig:
             inside each work unit -- ``"auto"`` (default; honours
             ``WDM_REPRO_BATCH_BACKEND``, then prefers the fused
             ``numba`` kernel when usable, else ``python``),
-            ``"python"``, ``"numpy"``, ``"numba"`` or any name added
+            ``"python"``, ``"numba"`` or any name added
             through :func:`repro.engine.backends.register_backend`.
             Ignored by the other kernels; all backends are
             bit-identical, see ``wdm-repro kernels``.

@@ -3,7 +3,7 @@
 ``repro.engine`` is the bottom layer of the simulator stack: a frozen
 :class:`~repro.engine.geometry.FabricGeometry`, a
 :class:`~repro.engine.state.FabricState` protocol with interchangeable
-bitplane backends (pure-Python ints, numpy int64, the fused ``numba``
+bitplane backends (pure-Python ints per event, or the fused ``numba``
 whole-stream kernel of :mod:`repro.engine.fused`; more via
 :func:`~repro.engine.backends.register_backend`), the Lemma-4 cover
 search (:mod:`repro.engine.cover`), and the pure admission kernels of
@@ -20,7 +20,6 @@ diagram.
 from repro.engine.backends import (
     BACKEND_ENV,
     BACKENDS,
-    NUMPY_WORD_BITS,
     BackendSpec,
     available_backends,
     backend_status,
@@ -64,7 +63,7 @@ from repro.engine.kernel import (
     reach_map,
     release,
 )
-from repro.engine.state import FabricState, NumpyState, PythonState
+from repro.engine.state import FabricState, PythonState, StreamState
 
 __all__ = [
     "ALL_BLOCK_KINDS",
@@ -73,7 +72,6 @@ __all__ = [
     "BLOCK_KINDS",
     "CLOS",
     "FUSED_ENV",
-    "NUMPY_WORD_BITS",
     "WORD_BITS",
     "AdmissionRequest",
     "BackendSpec",
@@ -84,9 +82,9 @@ __all__ = [
     "FabricState",
     "FusedReplay",
     "FusedState",
-    "NumpyState",
     "PlaneLayout",
     "PythonState",
+    "StreamState",
     "admit",
     "avail",
     "available_backends",

@@ -1,7 +1,8 @@
 """Fabric-state backend registry -- the numba/CUDA seam.
 
-One place decides which :class:`~repro.engine.state.FabricState`
-implementation a replay runs on: every backend is a
+One place decides which state implementation a replay runs on -- a
+per-event :class:`~repro.engine.state.FabricState` or a whole-stream
+:class:`~repro.engine.state.StreamState`: every backend is a
 :class:`BackendSpec` (factory + availability probe + plane-width
 capability), :func:`resolve_backend` maps a request (``"auto"``, a
 concrete name, or the ``WDM_REPRO_BATCH_BACKEND`` environment
@@ -9,14 +10,12 @@ override) to a registered backend, checking the geometry's plane width
 ``W = ceil(bits / 62)`` against the backend's capability with one
 uniform error message, and :func:`make_state` then instantiates it.
 
-Three backends ship built in, all width-unlimited (masks wider than
+Two backends ship built in, both width-unlimited (masks wider than
 one int64 word get multi-word planes; see
 :mod:`repro.engine.planes`):
 
 * ``python`` -- int-bitplane :class:`~repro.engine.state.PythonState`;
   no dependencies, always available;
-* ``numpy`` -- int64 structure-of-arrays
-  :class:`~repro.engine.state.NumpyState`; needs numpy;
 * ``numba`` -- the fused whole-stream replay of
   :mod:`repro.engine.fused`; needs numpy plus numba (or the
   ``WDM_REPRO_FUSED_PY=1`` interpreted-mode testing hook), and is what
@@ -35,21 +34,16 @@ from __future__ import annotations
 import os
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass
+from typing import TypeAlias
 
 from repro.engine import fused as _fused
 from repro.engine.geometry import FabricGeometry
 from repro.engine.planes import WORD_BITS, PlaneLayout
-from repro.engine.state import FabricState, NumpyState, PythonState
-
-try:  # NumPy is optional everywhere in this repo.
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised by the no-numpy CI job
-    _np = None  # type: ignore[assignment]
+from repro.engine.state import FabricState, PythonState, StreamState
 
 __all__ = [
     "BACKEND_ENV",
     "BACKENDS",
-    "NUMPY_WORD_BITS",
     "BackendSpec",
     "available_backends",
     "backend_status",
@@ -63,18 +57,13 @@ __all__ = [
 #: environment override for ``backend="auto"`` resolution.
 BACKEND_ENV = "WDM_REPRO_BATCH_BACKEND"
 #: the built-in state backends (``auto`` resolves to one of these).
-BACKENDS = ("python", "numpy", "numba")
-#: usable bits per int64 plane word -- masks wider than this span
-#: ``W = ceil(bits / NUMPY_WORD_BITS)`` words (no longer a hard gate).
-NUMPY_WORD_BITS = WORD_BITS
+BACKENDS = ("python", "numba")
+#: what a backend factory builds: a per-event or a whole-stream state.
+State: TypeAlias = FabricState | StreamState
 
 
 def _always() -> str | None:
     return None
-
-
-def _numpy_missing() -> str | None:
-    return None if _np is not None else "numpy is not installed"
 
 
 def plane_width(m_max: int, r: int, k: int) -> int:
@@ -87,7 +76,9 @@ class BackendSpec:
     """One selectable backend: how to build it and whether it can run.
 
     Attributes:
-        factory: builds the backend's :class:`FabricState` from the
+        factory: builds the backend's state (a per-event
+            :class:`FabricState` or a whole-stream
+            :class:`~repro.engine.state.StreamState`) from the
             per-replication geometries.
         missing: returns None when the backend can run in this process,
             else the human-readable reason (``"numba is not
@@ -97,7 +88,7 @@ class BackendSpec:
             backend handles; None means unlimited (multi-word planes).
     """
 
-    factory: Callable[[tuple[FabricGeometry, ...]], FabricState]
+    factory: Callable[[tuple[FabricGeometry, ...]], State]
     missing: Callable[[], str | None] = _always
     max_plane_width: int | None = None
 
@@ -112,7 +103,6 @@ class BackendSpec:
 
 _SPECS: dict[str, BackendSpec] = {
     "python": BackendSpec(factory=PythonState),
-    "numpy": BackendSpec(factory=NumpyState, missing=_numpy_missing),
     "numba": BackendSpec(
         factory=_fused.FusedState,
         missing=_fused.missing_requirement,
@@ -122,28 +112,24 @@ _SPECS: dict[str, BackendSpec] = {
 
 def register_backend(
     name: str,
-    factory: Callable[[tuple[FabricGeometry, ...]], FabricState],
+    factory: Callable[[tuple[FabricGeometry, ...]], State],
     *,
     missing: Callable[[], str | None] = _always,
     max_plane_width: int | None = None,
-    word_gated: bool = False,
 ) -> None:
     """Register an additional fabric-state backend (the plug-in seam).
 
     The factory takes a tuple of per-replication geometries and returns
-    a :class:`~repro.engine.state.FabricState`.  Registered names become
-    valid ``backend=`` arguments everywhere (batch engine, CLI); they
-    are never chosen by ``auto``.  ``missing`` is the availability
+    a per-event :class:`~repro.engine.state.FabricState` or a
+    whole-stream :class:`~repro.engine.state.StreamState`.  Registered
+    names become valid ``backend=`` arguments everywhere (batch engine,
+    CLI); they are never chosen by ``auto``.  ``missing`` is the availability
     probe (None = usable, else the reason shown by ``wdm-repro
     kernels``); ``max_plane_width`` caps the plane width (int64 words
     per mask) the backend handles, None meaning unlimited.
-    ``word_gated=True`` is the legacy spelling of
-    ``max_plane_width=1`` (single-word masks only).
     """
     if name in ("auto",) + BACKENDS:
         raise ValueError(f"backend name {name!r} is reserved")
-    if word_gated and max_plane_width is None:
-        max_plane_width = 1
     _SPECS[name] = BackendSpec(
         factory=factory, missing=missing, max_plane_width=max_plane_width
     )
@@ -190,7 +176,7 @@ def plane_width_error(
     return (
         f"batch backend {backend!r} handles at most {max_width} int64 "
         f"word(s) per mask but m={m_max}, r={r}, k={k} needs "
-        f"{width}-word planes ({NUMPY_WORD_BITS} bits per word)"
+        f"{width}-word planes ({WORD_BITS} bits per word)"
     )
 
 
@@ -199,13 +185,11 @@ def resolve_backend(backend: str = "auto", *, m_max: int, r: int, k: int) -> str
 
     ``auto`` honours the ``WDM_REPRO_BATCH_BACKEND`` environment
     variable, then prefers ``numba`` -- the fused whole-stream kernel
-    -- whenever it is importable (at any plane width, since the word
-    gate was lifted), falling back to ``python`` (the int-bitplane
-    replay, which beats the per-event numpy int64 backend on CPython;
-    see EXPERIMENTS.md P4/P6).  Asking for a backend explicitly --
-    directly or through the environment override -- raises if its
-    requirements are missing or the geometry's plane width exceeds the
-    backend's ``max_plane_width`` capability.
+    -- whenever it is importable (at any plane width), falling back to
+    ``python``, the int-bitplane per-event replay.  Asking for a
+    backend explicitly -- directly or through the environment override
+    -- raises if its requirements are missing or the geometry's plane
+    width exceeds the backend's ``max_plane_width`` capability.
     """
     if backend == "auto":
         backend = os.environ.get(BACKEND_ENV, "").strip().lower() or "auto"
@@ -241,7 +225,7 @@ def resolve_backend(backend: str = "auto", *, m_max: int, r: int, k: int) -> str
 
 def make_state(
     geometries: Iterable[FabricGeometry], backend: str = "auto"
-) -> FabricState:
+) -> State:
     """Build a fabric state for ``geometries`` on a resolved backend."""
     geos = tuple(geometries)
     if not geos:

@@ -30,21 +30,19 @@ order are all properties of those kernels, and the property tests plus
 ``bench_perf.py`` assert per-replication equality of ``(attempts,
 blocked)`` and causes against the bitmask kernel.
 
-The state backends (``python`` int bitplanes, optional ``numpy`` int64
-structure-of-arrays, and the fused ``numba`` backend -- the numpy-based
-pair packing masks wider than
-:data:`~repro.engine.backends.NUMPY_WORD_BITS` bits into multi-word
-planes per :class:`~repro.engine.planes.PlaneLayout`) live in
+The state backends (``python`` int bitplanes and the fused ``numba``
+backend, which packs masks wider than
+:data:`~repro.engine.planes.WORD_BITS` bits into multi-word planes per
+:class:`~repro.engine.planes.PlaneLayout`) live in
 :mod:`repro.engine.state` / :mod:`repro.engine.fused` behind the
 :mod:`repro.engine.backends` registry; ``auto`` prefers ``numba`` when
 importable (at any plane width), else ``python``, and
 ``WDM_REPRO_BATCH_BACKEND`` overrides.  For the fused backend the
 per-event loop is bypassed entirely: :func:`lower_stream` flattens the
 compiled stream to int64 arrays (dest masks become ``[events, W]``
-word columns when the module family is wider than one word) and
-:meth:`~repro.engine.fused.FusedState.replay_ops` executes the whole
-replay in one ``@njit`` kernel -- same decisions, bit-identical counts
-and causes.
+word columns) and :meth:`~repro.engine.fused.FusedState.replay_ops`
+executes the whole replay in one ``@njit`` kernel -- same decisions,
+bit-identical counts and causes.
 The engine is wired in as ``routing_kernel("batched")``: single-request
 routing is untouched (identical to ``bitmask``), but the Monte-Carlo
 estimators dispatch whole seed-batches here instead of one cell at a
@@ -67,12 +65,10 @@ from repro.engine.backends import (
     resolve_backend,
 )
 from repro.engine.fabrics import get_fabric
-from repro.engine.fused import FusedReplay
 from repro.engine.geometry import FabricGeometry
 from repro.engine.kernel import block_cause, classify_kind, probe_cover
-from repro.engine.planes import WORD_BITS as _WORD_BITS
-from repro.engine.planes import WORD_MASK as _WORD_MASK
-from repro.engine.state import FabricState
+from repro.engine.planes import pack_masks
+from repro.engine.state import FabricState, StreamState
 from repro.switching.generators import dynamic_traffic, stream_rng
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only import
@@ -174,9 +170,8 @@ class LoweredStream:
     ``slot``, the dense connection index (one slot per connection id,
     shared by its setup and teardown ops) that lets the fused kernel
     store live branches in fixed-shape arrays instead of dicts.
-    ``dest`` is 1-D int64 in the historical single-word layout
-    (``r_words == 1``) and ``[events, r_words]`` little-endian word
-    columns when the output-module family is wider than one word.
+    ``dest`` holds ``[events, r_words]`` little-endian word columns
+    (one column when the output-module family fits one word).
     Satisfies :class:`repro.engine.fused.LoweredOps`.
     """
 
@@ -197,9 +192,9 @@ def lower_stream(
     """Lower :func:`compile_stream` ops to the fused kernel's arrays.
 
     ``r_words`` is the output-module mask family's plane width
-    (:attr:`~repro.engine.planes.PlaneLayout.r_words`): 1 keeps the
-    historical 1-D ``dest`` column, wider splits each dest mask into
-    ``[events, r_words]`` little-endian int64 words.
+    (:attr:`~repro.engine.planes.PlaneLayout.r_words`): each dest mask
+    is split into ``r_words`` little-endian int64 words, so ``dest`` is
+    ``[events, r_words]``.
     """
     if _np is None:  # pragma: no cover - fused backend gates first
         raise ValueError("lower_stream requires numpy")
@@ -208,10 +203,6 @@ def lower_stream(
     slot = _np.zeros(n, dtype=_np.int64)
     g = _np.zeros(n, dtype=_np.int64)
     sw = _np.zeros(n, dtype=_np.int64)
-    if r_words == 1:
-        dest = _np.zeros(n, dtype=_np.int64)
-    else:
-        dest = _np.zeros((n, r_words), dtype=_np.int64)
     slots: dict[int, int] = {}
     n_setups = 0
     for i, (op_tag, cid, op_g, op_sw, op_dest) in enumerate(ops):
@@ -225,11 +216,7 @@ def lower_stream(
         slot[i] = cid_slot
         g[i] = op_g
         sw[i] = op_sw
-        if r_words == 1:
-            dest[i] = op_dest
-        else:
-            for wi in range(r_words):
-                dest[i, wi] = (op_dest >> (_WORD_BITS * wi)) & _WORD_MASK
+    dest = pack_masks([op[4] for op in ops], r_words)
     return LoweredStream(
         tag=tag, slot=slot, g=g, sw=sw, dest=dest,
         n_slots=len(slots), n_setups=n_setups, r_words=r_words,
@@ -304,7 +291,7 @@ def _record_block(
 
 def _replay(
     ops: list[tuple[int, int, int, int, int]],
-    state: FabricState,
+    state: FabricState | StreamState,
     want_kinds: bool,
     want_causes: bool,
 ) -> tuple[int, list[_Replication]]:
@@ -317,16 +304,14 @@ def _replay(
     MAW-dominance, endpoint models and wavelength picks all live in the
     engine.
 
-    A state that offers the whole-stream ``replay_ops`` entry point
-    (the fused ``numba`` backend) takes the entire loop instead: the
-    stream is lowered to flat arrays once and every per-event decision
-    above runs inside the one compiled kernel, bit-identically.
+    A whole-stream state (:class:`~repro.engine.state.StreamState`,
+    e.g. the fused ``numba`` backend) takes the entire loop instead:
+    the stream is lowered to flat arrays once and every per-event
+    decision above runs inside the one compiled kernel, bit-identically.
     """
-    fused_entry = getattr(state, "replay_ops", None)
-    if fused_entry is not None:
-        r_words = getattr(state, "plane_layout", None)
-        replay: FusedReplay = fused_entry(
-            lower_stream(ops, r_words.r_words if r_words else 1),
+    if isinstance(state, StreamState):
+        replay = state.replay_ops(
+            lower_stream(ops, state.plane_layout.r_words),
             want_kinds,
             want_causes,
         )

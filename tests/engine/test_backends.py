@@ -8,7 +8,6 @@ from repro.core.models import Construction, MulticastModel
 from repro.engine.backends import (
     BACKEND_ENV,
     BACKENDS,
-    NUMPY_WORD_BITS,
     available_backends,
     backend_status,
     make_state,
@@ -19,7 +18,8 @@ from repro.engine.backends import (
 )
 from repro.engine.fused import FUSED_ENV, FusedState
 from repro.engine.geometry import FabricGeometry
-from repro.engine.state import NumpyState, PythonState
+from repro.engine.planes import WORD_BITS
+from repro.engine.state import PythonState
 
 
 def geometries(m_values=(2, 3), k=1):
@@ -36,36 +36,37 @@ def geometries(m_values=(2, 3), k=1):
 
 class TestPlaneWidth:
     def test_named_constant(self):
-        assert NUMPY_WORD_BITS == 62
+        assert WORD_BITS == 62
 
     def test_plane_width_of_a_geometry(self):
         assert plane_width(4, 2, 1) == 1
-        assert plane_width(NUMPY_WORD_BITS, 2, 1) == 1
-        assert plane_width(NUMPY_WORD_BITS + 1, 2, 1) == 2
+        assert plane_width(WORD_BITS, 2, 1) == 1
+        assert plane_width(WORD_BITS + 1, 2, 1) == 2
         assert plane_width(4, 200, 1) == 4
 
     def test_uniform_error_message(self):
-        message = plane_width_error("numpy", 70, 2, 1, 1)
+        message = plane_width_error("narrow", 70, 2, 1, 1)
         assert "at most 1 int64 word(s)" in message
         assert "m=70, r=2, k=1" in message
         assert "2-word planes" in message
 
-    def test_builtin_backends_accept_wide_planes(self):
+    def test_builtin_backends_accept_wide_planes(self, monkeypatch):
         pytest.importorskip("numpy")
-        wide = NUMPY_WORD_BITS + 1
-        assert resolve_backend("numpy", m_max=wide, r=2, k=1) == "numpy"
-        assert resolve_backend("numpy", m_max=4, r=wide, k=wide) == "numpy"
+        monkeypatch.setenv(FUSED_ENV, "1")
+        wide = WORD_BITS + 1
+        for name in BACKENDS:
+            assert resolve_backend(name, m_max=wide, r=2, k=1) == name
+            assert resolve_backend(name, m_max=4, r=wide, k=wide) == name
 
     def test_env_override_accepts_wide_planes(self, monkeypatch):
-        pytest.importorskip("numpy")
-        monkeypatch.setenv(BACKEND_ENV, "numpy")
-        wide = NUMPY_WORD_BITS + 1
-        assert resolve_backend("auto", m_max=wide, r=2, k=1) == "numpy"
+        monkeypatch.setenv(BACKEND_ENV, "python")
+        wide = WORD_BITS + 1
+        assert resolve_backend("auto", m_max=wide, r=2, k=1) == "python"
 
     def test_numba_accepts_wide_planes(self, monkeypatch):
         pytest.importorskip("numpy")
         monkeypatch.setenv(FUSED_ENV, "1")
-        wide = NUMPY_WORD_BITS + 1
+        wide = WORD_BITS + 1
         assert resolve_backend("numba", m_max=wide, r=2, k=1) == "numba"
 
     def test_width_capped_backend_rejected_when_too_wide(self):
@@ -74,7 +75,7 @@ class TestPlaneWidth:
         name = "test-narrow"
         register_backend(name, PythonState, max_plane_width=1)
         try:
-            wide = NUMPY_WORD_BITS + 1
+            wide = WORD_BITS + 1
             with pytest.raises(ValueError) as err:
                 resolve_backend(name, m_max=wide, r=2, k=1)
             assert str(err.value) == plane_width_error(name, wide, 2, 1, 1)
@@ -102,14 +103,15 @@ class TestResolution:
         monkeypatch.delenv(BACKEND_ENV, raising=False)
         monkeypatch.setenv(FUSED_ENV, "1")
         assert (
-            resolve_backend("auto", m_max=NUMPY_WORD_BITS + 1, r=2, k=1)
+            resolve_backend("auto", m_max=WORD_BITS + 1, r=2, k=1)
             == "numba"
         )
 
     def test_env_override_honored(self, monkeypatch):
         pytest.importorskip("numpy")
-        monkeypatch.setenv(BACKEND_ENV, "numpy")
-        assert resolve_backend("auto", m_max=4, r=2, k=1) == "numpy"
+        monkeypatch.setenv(BACKEND_ENV, "numba")
+        monkeypatch.setenv(FUSED_ENV, "1")
+        assert resolve_backend("auto", m_max=4, r=2, k=1) == "numba"
 
     def test_env_override_beats_numba_preference(self, monkeypatch):
         monkeypatch.setenv(BACKEND_ENV, "python")
@@ -120,15 +122,29 @@ class TestResolution:
         with pytest.raises(ValueError, match="unknown batch backend"):
             resolve_backend("cuda", m_max=4, r=2, k=1)
 
+    def test_builtins_are_python_and_numba(self):
+        assert BACKENDS == ("python", "numba")
+
+    @pytest.mark.parametrize("spelling", ["argument", "environment"])
+    def test_retired_numpy_backend_is_unknown(self, monkeypatch, spelling):
+        monkeypatch.delenv(FUSED_ENV, raising=False)
+        if spelling == "argument":
+            monkeypatch.delenv(BACKEND_ENV, raising=False)
+            request = "numpy"
+        else:
+            monkeypatch.setenv(BACKEND_ENV, "numpy")
+            request = "auto"
+        with pytest.raises(ValueError) as err:
+            resolve_backend(request, m_max=4, r=2, k=1)
+        message = str(err.value)
+        assert message.startswith("unknown batch backend 'numpy'")
+        assert f"choose from {('auto',) + available_backends()}" in message
+
     def test_unknown_error_lists_only_available_backends(self, monkeypatch):
         from repro.engine import backends as mod
 
         # With every optional backend unavailable, the suggestion list
         # must shrink to what a user could actually pick.
-        monkeypatch.setitem(
-            mod._SPECS, "numpy",
-            mod.BackendSpec(factory=NumpyState, missing=lambda: "not here"),
-        )
         monkeypatch.setitem(
             mod._SPECS, "numba",
             mod.BackendSpec(factory=FusedState, missing=lambda: "not here"),
@@ -136,7 +152,7 @@ class TestResolution:
         with pytest.raises(ValueError) as err:
             resolve_backend("cuda", m_max=4, r=2, k=1)
         assert "('auto', 'python')" in str(err.value)
-        assert "numpy" not in str(err.value)
+        assert "numba" not in str(err.value)
 
     def test_unknown_error_lists_per_backend_max_widths(self):
         from repro.engine import backends as mod
@@ -179,10 +195,12 @@ class TestStatus:
         assert set(BACKENDS) <= set(status)
         assert status["python"] == "available (plane width: any)"
 
-    def test_builtin_backends_report_unlimited_width(self):
+    def test_builtin_backends_report_unlimited_width(self, monkeypatch):
         pytest.importorskip("numpy")
+        monkeypatch.setenv(FUSED_ENV, "1")
         status = backend_status()
-        assert status["numpy"] == "available (plane width: any)"
+        for name in BACKENDS:
+            assert status[name] == "available (plane width: any)"
 
     def test_width_capped_backend_reports_its_cap(self):
         from repro.engine import backends as mod
@@ -216,18 +234,22 @@ class TestMakeState:
         assert isinstance(state, PythonState)
         assert state.batch == 2
 
-    def test_numpy_state(self):
+    def test_fused_state(self, monkeypatch):
         pytest.importorskip("numpy")
-        state = make_state(geometries(), backend="numpy")
-        assert isinstance(state, NumpyState)
+        monkeypatch.setenv(FUSED_ENV, "1")
+        state = make_state(geometries(), backend="numba")
+        assert isinstance(state, FusedState)
         assert state.batch == 2
+        # Whole-stream only: the per-event protocol is python's.
+        assert not hasattr(state, "allocate")
 
-    def test_numpy_state_on_wide_planes(self):
+    def test_fused_state_on_wide_planes(self, monkeypatch):
         pytest.importorskip("numpy")
+        monkeypatch.setenv(FUSED_ENV, "1")
         state = make_state(
-            geometries(m_values=(NUMPY_WORD_BITS + 8,)), backend="numpy"
+            geometries(m_values=(WORD_BITS + 8,)), backend="numba"
         )
-        assert isinstance(state, NumpyState)
+        assert isinstance(state, FusedState)
         assert state.plane_layout.m_words == 2
 
     def test_empty_geometries_rejected(self):
@@ -237,7 +259,7 @@ class TestMakeState:
 
 class TestRegistry:
     def test_reserved_names_rejected(self):
-        for name in ("auto", "python", "numpy", "numba"):
+        for name in ("auto", "python", "numba"):
             with pytest.raises(ValueError, match="reserved"):
                 register_backend(name, PythonState)
 
@@ -267,14 +289,6 @@ class TestRegistry:
         finally:
             del mod._SPECS[name]
 
-    def test_legacy_word_gated_flag_maps_to_width_one(self):
-        from repro.engine import backends as mod
-
-        name = "test-legacy"
-        register_backend(name, PythonState, word_gated=True)
-        try:
-            assert mod._SPECS[name].max_plane_width == 1
-            with pytest.raises(ValueError, match="at most 1 int64"):
-                resolve_backend(name, m_max=NUMPY_WORD_BITS + 1, r=2, k=1)
-        finally:
-            del mod._SPECS[name]
+    def test_word_gated_alias_is_gone(self):
+        with pytest.raises(TypeError, match="word_gated"):
+            register_backend("test-legacy", PythonState, word_gated=True)

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 from repro.core.models import Construction, MulticastModel
 from repro.core.multistage import valid_x_range
-from repro.engine.backends import available_backends, make_state
+from repro.engine.backends import make_state
 from repro.engine.geometry import FabricGeometry
 from repro.engine.kernel import (
     AdmissionRequest,
@@ -119,22 +119,3 @@ class TestEngineMatchesNetwork:
         # Same requests block (bit-identical admission), and every
         # blocked request gets the same cause label and evidence masks.
         assert from_engine == from_network
-
-
-@pytest.mark.skipif(
-    "numpy" not in available_backends(), reason="numpy not installed"
-)
-class TestBackendsAgree:
-    @settings(max_examples=8, deadline=None)
-    @given(config=sizes())
-    def test_numpy_state_matches_python_state(self, config):
-        n, r, k, x, m, seed = config
-        construction = Construction.MSW_DOMINANT
-        model = MulticastModel.MAW
-        python = engine_trace(
-            n, r, k, m, construction, model, x, seed, backend="python"
-        )
-        numpy = engine_trace(
-            n, r, k, m, construction, model, x, seed, backend="numpy"
-        )
-        assert python == numpy

@@ -10,8 +10,9 @@ Two families of guarantees live here:
 2. **Bit-identity pins** -- the Clos path *through* the fabric seam must
    be indistinguishable from the pre-seam engine: golden cache-key
    digests, the golden adaptive stream key and round schedules, golden
-   blocked counts, and the sha256 of the NumpyState bitplanes after a
-   full replay are all hardcoded from the pre-seam code.  A change to
+   blocked counts, and the sha256 of the fused backend's int64
+   bitplanes after a full replay are all hardcoded from the pre-seam
+   code.  A change to
    any of these is a silent invalidation of every warm cache and golden
    value in the wild, which is exactly what the pins exist to catch.
 """
@@ -243,17 +244,20 @@ def test_clos_blocked_counts_unchanged():
     assert dict(explicit) == {m: (154, b) for m, b in GOLDEN_BLOCKED.items()}
 
 
-def test_clos_numpy_bitplanes_unchanged():
+def test_clos_numpy_bitplanes_unchanged(monkeypatch):
     np = pytest.importorskip("numpy", reason="bitplane pins read numpy planes")
-    from repro.engine.state import NumpyState
+    from repro.engine.fused import FUSED_ENV, FusedState
     from repro.perf.batch import _replay, compile_stream
 
+    monkeypatch.setenv(FUSED_ENV, "1")
     ops = compile_stream(MSW, 3, 3, 2, 300, 0)
     geometries = tuple(
         FabricGeometry(3, 3, 2, m, construction=C, model=MSW, x=1)
         for m in (1, 2, 3, 4, 6)
     )
-    state = NumpyState(geometries)
+    # The fused backend's single-word int64 planes, replayed through
+    # FusedState.replay_ops by the batch driver.
+    state = FusedState(geometries)
     attempts, replications = _replay(ops, state, False, False)
     assert attempts == 154
     assert [rep.blocked for rep in replications] == [85, 39, 9, 1, 0]
@@ -288,11 +292,14 @@ def test_awg_blocks_more_than_clos():
         assert blocked >= GOLDEN_BLOCKED[m]
 
 
-def test_awg_equals_clos_at_k1():
+def test_awg_equals_clos_at_k1(monkeypatch):
     from repro.engine.backends import available_backends
+    from repro.engine.fused import FUSED_ENV, NUMBA_AVAILABLE
 
+    if not NUMBA_AVAILABLE:
+        monkeypatch.setenv(FUSED_ENV, "1")
     m_values = (1, 2, 3, 4)
-    backends = [b for b in ("python", "numpy") if b in available_backends()]
+    backends = [b for b in ("python", "numba") if b in available_backends()]
     for backend in backends:
         clos = simulate_batch(
             3, 3, 1, C, MSW, 1, 300, None, 0, m_values, backend,
@@ -322,9 +329,10 @@ def test_awg_no_path_cause_reported():
 
 
 def test_awg_three_way_backend_agreement():
+    """python, fused and the golden AWG counts agree cell for cell."""
     import os
 
-    pytest.importorskip("numpy", reason="numpy/numba backends under test")
+    pytest.importorskip("numpy", reason="the fused backend under test")
 
     from repro.engine.fused import FUSED_ENV, NUMBA_AVAILABLE
 
@@ -338,21 +346,25 @@ def test_awg_three_way_backend_agreement():
                 3, 3, 2, C, MSW, 1, 300, None, 0, m_values, backend,
                 False, None, "awg_clos",
             )
-            for backend in ("python", "numpy", "numba")
+            for backend in ("python", "numba")
         }
     finally:
         if forced:
             del os.environ[FUSED_ENV]
-    assert runs["python"] == runs["numpy"] == runs["numba"]
+    golden = [(m, (154, AWG_BLOCKED[m])) for m in m_values]
+    assert runs["python"] == runs["numba"] == golden
 
 
 # -- the crossbar fast path --------------------------------------------------
 
 
-def test_crossbar_blocks_nothing():
+def test_crossbar_blocks_nothing(monkeypatch):
     from repro.engine.backends import available_backends
+    from repro.engine.fused import FUSED_ENV, NUMBA_AVAILABLE
 
-    for backend in (b for b in ("python", "numpy") if b in available_backends()):
+    if not NUMBA_AVAILABLE:
+        monkeypatch.setenv(FUSED_ENV, "1")
+    for backend in (b for b in ("python", "numba") if b in available_backends()):
         cells = simulate_batch(
             3, 3, 2, C, MSW, 1, 300, None, 0, (1, 2, 4), backend,
             False, None, "crossbar",

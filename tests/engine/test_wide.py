@@ -1,20 +1,23 @@
 """Word-boundary suite: multi-word planes at and across 62 bits.
 
 The plane layout switches from one int64 word per mask to ``W =
-ceil(bits / 62)`` words exactly past 62, so this file pins the three
+ceil(bits / 62)`` words exactly past 62, so this file pins the
 backends to each other *at* the boundary (61, 62), just across it (63,
 64) and well past it (100):
 
-* three-way agreement -- python/numpy/fused replay the same compiled
-  stream and must agree on counts, ``explain_block`` cause dicts *and*
-  the end-state occupancy bitplanes (extracted backend-agnostically as
-  Python ints);
-* high-bit round-trips -- covers committed at middle/module/wavelength
-  indices on both sides of the word seam, asserting identical views
-  after every allocate and all-zero planes after the frees;
-* ``W == 1`` byte-identity -- single-word numpy arrays keep the
-  pre-multi-word layout bit for bit and *byte for byte* (same shapes,
-  same dtype, no trailing word axis) for a golden replay.
+* three-way agreement -- the python per-event replay and the fused
+  kernel replay the same compiled stream and must agree on counts,
+  ``explain_block`` cause dicts *and* the end-state occupancy bitplanes
+  (extracted backend-agnostically as Python ints); the serial
+  :class:`~repro.multistage.network.ThreeStageNetwork` is the third
+  leg for counts and causes;
+* high-bit round-trips -- covers committed on the python backend at
+  middle/module/wavelength indices on both sides of the word seam,
+  asserting the views after every allocate and fresh-state planes
+  after the frees;
+* ``W == 1`` byte-identity -- the fused backend's single-word arrays
+  keep the single-word layout bit for bit and *byte for byte* (same
+  shapes, same dtype, no trailing word axis) for a golden replay.
 """
 
 from __future__ import annotations
@@ -30,15 +33,16 @@ np = pytest.importorskip("numpy")
 
 from repro.core.models import Construction, MulticastModel
 from repro.engine.backends import make_state
-from repro.engine.fused import FUSED_ENV
+from repro.engine.fused import FUSED_ENV, FusedState
 from repro.engine.geometry import FabricGeometry
-from repro.engine.planes import WORD_BITS, combine_words
-from repro.engine.state import NumpyState, PythonState
+from repro.engine.planes import WORD_BITS
 from repro.core.multistage import valid_x_range
 from repro.perf.batch import _replay, compile_stream
+from tests.engine.canonical import canonical_planes
+from tests.perf.test_batch import serial_cell_with_causes
 
 BOUNDARY = (61, 62, 63, 64, 100)
-BACKENDS = ("python", "numpy", "numba")
+BACKENDS = ("python", "numba")
 STEPS = 50
 
 
@@ -58,87 +62,6 @@ def fused_interpreted():
             del os.environ[FUSED_ENV]
         else:
             os.environ[FUSED_ENV] = previous
-
-
-def canonical_planes(state) -> list[dict]:
-    """Per-replication occupancy bitplanes as nested Python ints.
-
-    Backend-agnostic: numpy-family states (:class:`NumpyState` and the
-    fused subclass) join their word rows back into ints and drop the
-    padding rows above each replication's own ``m``; the python backend
-    transposes its view-oriented nesting into the same
-    ``[b][...]``-leading order.
-    """
-    geos = state.geometries
-    if isinstance(state, NumpyState):
-
-        def grab(name):
-            arr = getattr(state, name)
-            return (
-                combine_words(arr).tolist() if state._multiword else arr.tolist()
-            )
-
-        out_busy = grab("_out_busy")
-        if state.msw_dominant:
-            in_busy = grab("_in_busy")
-            return [
-                {
-                    "in_busy": in_busy[b],
-                    "out_busy": out_busy[b][: geos[b].m],
-                }
-                for b in range(state.batch)
-            ]
-        in_wave = grab("_in_wave")
-        in_full = grab("_in_full")
-        out_wave = grab("_out_wave")
-        out_full = grab("_out_full")
-        return [
-            {
-                "in_wave": [row[: geos[b].m] for row in in_wave[b]],
-                "in_full": in_full[b],
-                "out_wave": out_wave[b][: geos[b].m],
-                "out_full": out_full[b][: geos[b].m],
-                "out_busy": out_busy[b][: geos[b].m],
-            }
-            for b in range(state.batch)
-        ]
-    assert isinstance(state, PythonState)
-    k = len(state._out_busy)
-    if state.msw_dominant:
-        r = len(state._in_busy)
-        return [
-            {
-                "in_busy": [
-                    [state._in_busy[g][w][b] for w in range(k)]
-                    for g in range(r)
-                ],
-                "out_busy": [
-                    [state._out_busy[w][b][j] for w in range(k)]
-                    for j in range(geos[b].m)
-                ],
-            }
-            for b in range(state.batch)
-        ]
-    r = len(state._in_wave)
-    return [
-        {
-            "in_wave": [
-                [state._in_wave[g][b][j] for j in range(geos[b].m)]
-                for g in range(r)
-            ],
-            "in_full": [state._in_full[g][b] for g in range(r)],
-            "out_wave": [
-                [state._out_wave[b][j][p] for p in range(r)]
-                for j in range(geos[b].m)
-            ],
-            "out_full": [state._out_full[b][j] for j in range(geos[b].m)],
-            "out_busy": [
-                [state._out_busy[w][b][j] for w in range(k)]
-                for j in range(geos[b].m)
-            ],
-        }
-        for b in range(state.batch)
-    ]
 
 
 def replay_all_backends(n, r, k, x, m_values, seed, construction, model):
@@ -172,7 +95,7 @@ def replay_all_backends(n, r, k, x, m_values, seed, construction, model):
 
 
 class TestBoundaryAgreement:
-    """python/numpy/fused three-way identity across the word seam."""
+    """python/fused/serial three-way identity across the word seam."""
 
     @pytest.mark.parametrize("wide", BOUNDARY)
     @settings(max_examples=6, deadline=None)
@@ -195,7 +118,14 @@ class TestBoundaryAgreement:
         results = replay_all_backends(
             n, r, k, x, [m], seed, construction, model
         )
-        assert results["python"] == results["numpy"] == results["numba"]
+        assert results["python"] == results["numba"]
+        attempts, [(blocked, _, _, causes)], _ = results["python"]
+        serial = serial_cell_with_causes(
+            n, r, m, k, construction, model, x, STEPS, seed
+        )
+        assert (attempts, blocked, causes) == (
+            serial[0], serial[1], [repr(cause) for cause in serial[2]]
+        )
 
     def test_mixed_batch_straddles_the_seam(self):
         """One lockstep batch whose m column spans every boundary value."""
@@ -205,76 +135,77 @@ class TestBoundaryAgreement:
                 results = replay_all_backends(
                     n, r, k, x, list(BOUNDARY), seed, construction, model
                 )
-                assert (
-                    results["python"] == results["numpy"] == results["numba"]
-                )
+                assert results["python"] == results["numba"]
 
 
 class TestHighBitRoundTrip:
-    """Covers committed on both sides of the word seam, then undone."""
+    """Per-event covers on both sides of the word seam, then undone.
+
+    The python backend is the one per-event state; its planes are
+    unbounded ints, so commits at bit 61/62/63 and beyond must land in
+    exactly the bits the branch tuple names and vanish on release.
+    """
 
     MIDDLES = (0, WORD_BITS - 1, WORD_BITS, WORD_BITS + 1, 99)
     DEST_BITS = (0, WORD_BITS - 1, WORD_BITS, 69)
+    SW = 62
 
-    def states(self, construction, model):
+    def state(self, construction, model):
         geo = FabricGeometry(
             n=3, r=70, k=63, m=100,
             construction=construction, model=model, x=2,
         )
-        with fused_interpreted():
-            return {
-                backend: make_state((geo,), backend) for backend in BACKENDS
-            }
+        return make_state((geo,), "python")
 
-    def views_of(self, state):
-        return [
-            state.setup_views(g, sw) for g in (0, 2) for sw in (0, 61, 62)
-        ]
+    def expected_branches(self, construction, model, j, dest):
+        if construction is Construction.MSW_DOMINANT:
+            return ((j, dest),)
+        # First-fit picks wavelength 0 on every fresh fiber unless the
+        # endpoint model pins delivery to the source wavelength.
+        out_w = self.SW if model is MulticastModel.MSW else 0
+        return ((j, 0, tuple((p, out_w) for p in self.DEST_BITS)),)
 
     @pytest.mark.parametrize("construction", list(Construction))
     @pytest.mark.parametrize("model", list(MulticastModel))
     def test_allocate_free_identical_planes(self, construction, model):
         dest = sum(1 << p for p in self.DEST_BITS)
-        states = self.states(construction, model)
-        branches = {backend: [] for backend in states}
+        state = self.state(construction, model)
+        fresh = canonical_planes(self.state(construction, model))
+        # Which planes a commit shows up in: the MSW-dominant busy
+        # planes, or the delivery-wavelength busy plane when the model
+        # pins it; MAW-dominant full-fiber planes stay clear (k = 63).
+        shows_busy = construction is Construction.MSW_DOMINANT
+        shows_blocker = shows_busy or model is MulticastModel.MSW
+        branches = []
+        used = 0
         for j in self.MIDDLES:
-            for backend, state in states.items():
-                branches[backend].append(
-                    state.allocate(0, 1, 62, {j: dest})
-                )
-            planes = {
-                backend: canonical_planes(state)
-                for backend, state in states.items()
-            }
-            views = {
-                backend: self.views_of(state)
-                for backend, state in states.items()
-            }
-            assert planes["python"] == planes["numpy"] == planes["numba"]
-            assert views["python"] == views["numpy"] == views["numba"]
-            assert branches["python"][-1] == branches["numpy"][-1]
-            assert branches["python"][-1] == branches["numba"][-1]
-        for backend, state in states.items():
-            for done in reversed(branches[backend]):
-                state.free(0, 1, 62, done)
-        planes = {
-            backend: canonical_planes(state)
-            for backend, state in states.items()
-        }
-        assert planes["python"] == planes["numpy"] == planes["numba"]
+            branch = state.allocate(0, 1, self.SW, {j: dest})
+            assert branch == self.expected_branches(
+                construction, model, j, dest
+            )
+            branches.append(branch)
+            used |= 1 << j
+            blocked, blockers = state.setup_views(1, self.SW)
+            assert blocked[0] == (used if shows_busy else 0)
+            assert blockers[0][j] == (dest if shows_blocker else 0)
+        assert canonical_planes(state) != fresh
+        for done in reversed(branches):
+            state.free(0, 1, self.SW, done)
+        planes = canonical_planes(state)
+        assert planes == fresh
 
         def all_zero(node):
             if isinstance(node, list):
                 return all(all_zero(item) for item in node)
             return node == 0
 
-        for per_b in planes["python"]:
+        for per_b in planes:
             for plane in per_b.values():
                 assert all_zero(plane)
 
 
 class TestSingleWordLayout:
-    """``W == 1`` numpy arrays keep the pre-multi-word layout, byte for byte."""
+    """``W == 1`` fused arrays keep the single-word layout, byte for byte."""
 
     GOLDEN_SEED = 2024
 
@@ -295,11 +226,13 @@ class TestSingleWordLayout:
                     )
                     for m in m_values
                 )
-                state = make_state(geos, "numpy")
+                with fused_interpreted():
+                    state = make_state(geos, "numba")
+                    _replay(ops, state, False, False)
                 reference = make_state(geos, "python")
-                _replay(ops, state, False, False)
                 _replay(ops, reference, False, False)
-                assert not state._multiword
+                assert isinstance(state, FusedState)
+                assert not state.plane_layout.multiword
 
                 def expect(shape, fill):
                     arr = np.zeros(shape, dtype=np.int64)

@@ -150,6 +150,18 @@ class TestSpeedupFloor:
         assert diff["floor_failures"] == ["adaptive"]
         assert diff["sections"]["adaptive"]["below_floor"] is True
 
+    def test_fused_floor_gates_a_compiled_run(self, tmp_path):
+        # The committed fused baseline is interpreted (exempt), so only
+        # the floor the jit run declares can gate the compiled kernel.
+        baseline = report(**dict(GUARDED, fused=0.5))
+        baseline["fused"]["guard_exempt"] = True
+        fresh = report(**dict(GUARDED, fused=2.5))
+        fresh["fused"]["min_speedup"] = 3.0
+        code, diff = run(tmp_path, baseline, fresh)
+        assert code == 1
+        assert diff["floor_failures"] == ["fused"]
+        assert diff["regressions"] == []
+
     def test_floor_ignored_on_unguarded_sections(self, tmp_path):
         fresh = report(cache=1.0, **GUARDED)
         fresh["cache"]["min_speedup"] = 5.0
@@ -176,3 +188,15 @@ class TestCommittedBaseline:
             # speedup at exactly 1.0 by construction.
             if not baseline[name].get("guard_exempt"):
                 assert baseline[name]["speedup"] >= 1.0
+
+    def test_wide_baseline_is_python_over_bitmask(self):
+        baseline = json.loads(
+            (
+                Path(__file__).resolve().parent.parent
+                / "benchmarks"
+                / "BENCH_baseline_quick.json"
+            ).read_text()
+        )
+        wide = baseline["wide"]
+        assert wide["speedup"] == wide["bitmask_s"] / wide["python_s"]
+        assert wide["speedup"] >= wide["min_speedup"] == 3.0

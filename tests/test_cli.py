@@ -194,17 +194,16 @@ class TestTraceCommand:
         assert "MAW" in out
 
     def test_kernels_matrix(self, capsys, monkeypatch):
-        from repro.engine.backends import BACKEND_ENV, NUMPY_WORD_BITS
+        from repro.engine.backends import BACKEND_ENV
+        from repro.engine.planes import WORD_BITS
 
         monkeypatch.delenv(BACKEND_ENV, raising=False)
         out = run_cli(capsys, "kernels")
         for kernel in ("reference", "bitmask", "batched"):
             assert kernel in out
-        for backend in ("python", "numba", "numpy"):
+        for backend in ("python", "numba"):
             assert backend in out
-        assert (
-            f"plane width: W = ceil(max(m, r, k) / {NUMPY_WORD_BITS})" in out
-        )
+        assert f"plane width: W = ceil(max(m, r, k) / {WORD_BITS})" in out
         assert "active routing kernel: bitmask" in out
         assert f"{BACKEND_ENV}: (unset)" in out
         assert "backend status:" in out
@@ -213,10 +212,10 @@ class TestTraceCommand:
     def test_kernels_reports_env_override(self, capsys, monkeypatch):
         from repro.engine.backends import BACKEND_ENV
 
-        monkeypatch.setenv(BACKEND_ENV, "numpy")
+        monkeypatch.setenv(BACKEND_ENV, "python")
         out = run_cli(capsys, "kernels")
-        assert f"{BACKEND_ENV}=numpy" in out
-        assert "auto backend resolves to: numpy" in out
+        assert f"{BACKEND_ENV}=python" in out
+        assert "auto backend resolves to: python" in out
 
     def test_kernels_shows_missing_backend_reason(self, capsys, monkeypatch):
         from repro.engine import backends as mod
@@ -250,7 +249,7 @@ class TestTraceCommand:
         monkeypatch.setitem(
             mod._SPECS, "test-cuda",
             mod.BackendSpec(
-                factory=mod._SPECS["numpy"].factory,
+                factory=mod._SPECS["python"].factory,
                 missing=lambda: None,
                 max_plane_width=1,
             ),
@@ -282,6 +281,12 @@ class TestParser:
         assert "unknown backend 'bogus'" in message
         for backend in ("auto", "python"):
             assert backend in message
+
+    def test_retired_numpy_backend_rejected(self, capsys):
+        parser = build_parser()
+        with pytest.raises(SystemExit):
+            parser.parse_args(["blocking", "--backend", "numpy"])
+        assert "unknown backend 'numpy'" in capsys.readouterr().err
 
     def test_backend_flag_accepts_known_names(self):
         parser = build_parser()

@@ -44,9 +44,10 @@ from pathlib import Path
 #: Sections may also declare an absolute ``min_speedup`` floor enforced
 #: regardless of the baseline: ``engine`` floors at 1.0 (the
 #: probe_cover shortcut must never lose to the composition it
-#: short-circuits), ``wide`` at 3.0 (the multi-word numpy backend over
-#: the serial path wide fabrics were once gated onto) and ``adaptive``
-#: at 2.0 (the matched-precision event ratio).  ``topology`` and
+#: short-circuits), ``fused`` at 3.0 when its kernel ran compiled (the
+#: jit kernel over the python backend), ``wide`` at 3.0 (the python
+#: batch backend over the serial path on a multi-word fabric) and
+#: ``adaptive`` at 2.0 (the matched-precision event ratio).  ``topology`` and
 #: ``generate`` are identity-only: their speedup is pinned at 1.0, so
 #: guarding them only requires the section to run and stay identical.
 GUARDED_SECTIONS = (

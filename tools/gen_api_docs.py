@@ -49,14 +49,16 @@ state-level functions (`avail`, `coverable`, `admit`, `release`,
 
 ### The backend seam
 
-`FabricState` has three interchangeable bitplane backends -- pure-Python
-ints, numpy int64 structure-of-arrays, and the fused `numba` backend
-(`repro.engine.fused`), which lowers the whole compiled stream to flat
-int64 arrays and replays it in one `@njit` kernel. Masks pack into
-`W = ceil(bits / NUMPY_WORD_BITS)` signed int64 words per the fabric's
-`PlaneLayout` (`repro.engine.planes`), so every built-in backend
-accepts fabrics of any width; the `W == 1` layout is byte-identical to
-the historical single-word one. `resolve_backend` picks one (`auto`
+Two built-in backends replay a batch: `python`, whose `PythonState`
+implements the per-event `FabricState` protocol on unbounded-int
+bitplanes, and the fused `numba` backend (`repro.engine.fused`), whose
+`FusedState` is a whole-stream `StreamState`: it lowers the compiled
+stream to flat int64 arrays and replays it in one `@njit` kernel.
+That kernel is word-looped: masks pack into
+`W = ceil(bits / WORD_BITS)` signed int64 words per the fabric's
+`PlaneLayout` (`repro.engine.planes`), so both backends accept fabrics
+of any width, and at `W == 1` the planes keep the single-word layout
+byte for byte. `resolve_backend` picks one (`auto`
 prefers `numba` when importable, else `python`;
 `WDM_REPRO_BATCH_BACKEND` overrides) and `make_state` instantiates it.
 `register_backend(name, factory, missing=..., max_plane_width=...)`
@@ -138,10 +140,10 @@ replays it through B structure-of-arrays fabric states in lockstep.
 exposes one replication with `explain_block`-identical causes. The
 replay itself is one backend-parameterized event loop over the shared
 admission kernels of `repro.engine`; the fabric-state backends (the
-pure-Python int-bitplane backend, an optional numpy int64 backend, and
-the fused `numba` backend -- the `auto` choice when numba is
-importable -- the numpy-based pair carrying `[..., W]` word planes on
-fabrics wider than `NUMPY_WORD_BITS` bits) live in `repro.engine.state` /
+pure-Python int-bitplane backend and the fused `numba` backend -- the
+`auto` choice when numba is importable -- whose int64 planes carry a
+`[..., W]` word axis on fabrics wider than `WORD_BITS` bits) live in
+`repro.engine.state` /
 `repro.engine.fused` behind the `repro.engine.backends` registry and
 are bit-identical to the serial simulator per replication, blocking
 causes included. For the fused backend, `lower_stream` flattens the
