@@ -14,14 +14,16 @@ what the slow path computes before reporting any speedup:
   :class:`repro.multistage.network.ThreeStageNetwork` under each
   routing kernel, isolating the connect/disconnect hot path from the
   (kernel-independent) traffic generator;
-* ``end_to_end`` -- :func:`repro.api.sweep` on the n=4, r=4, k=2 grid
-  under each kernel, traffic generation included;
-* ``batched`` -- the lockstep batch engine
-  (:mod:`repro.perf.batch`, the ``"batched"`` kernel) against the
-  serial bitmask sweep on a B=64 replication grid, end to end through
-  :func:`repro.api.sweep`, with bit-identity asserted *per
-  replication*: every ``(m, seed)`` cell from every available state
-  backend is compared against the serial simulator's cell;
+* ``end_to_end`` -- the serial per-cell sweep (one
+  :func:`repro.analysis.montecarlo._traffic_cell` per ``(m, seed)``)
+  on the n=4, r=4, k=2 grid under each routing kernel, traffic
+  generation included;
+* ``batched`` -- :func:`repro.api.sweep`, whose one route is the
+  lockstep batch engine (:mod:`repro.perf.batch`), against the serial
+  per-cell sweep under the bitmask kernel on a B=64 replication grid,
+  with bit-identity asserted *per replication*: every ``(m, seed)``
+  cell from every available state backend is compared against the
+  serial simulator's cell;
 * ``fused`` -- the fused whole-stream ``numba`` backend
   (:mod:`repro.engine.fused`) against the python backend on the same
   B=64 grid, per-replication counts, ``BLOCK_KINDS`` histograms and
@@ -33,11 +35,11 @@ what the slow path computes before reporting any speedup:
   on the ``python`` and ``numba``/interpreted backends with
   per-replication counts and ``explain_block`` cause dicts asserted
   bit-identical to the serial reference, then the wide sweep timed end
-  to end: the ``python`` batch backend vs the serial bitmask path
-  (>= 3x floored);
-* ``workloads`` -- the batched kernel replaying non-uniform traffic
-  (:mod:`repro.workloads` hotspot and heavy-tail fanout models)
-  against the serial bitmask sweep, pooled estimates and every
+  to end: :func:`repro.api.sweep` on the ``python`` backend vs the
+  serial per-cell bitmask sweep (>= 3x floored);
+* ``workloads`` -- :func:`repro.api.sweep` replaying non-uniform
+  traffic (:mod:`repro.workloads` hotspot and heavy-tail fanout models)
+  against the serial per-cell bitmask sweep, pooled estimates and every
   ``(workload, m, seed)`` replication compared bit-for-bit;
 * ``generate`` -- absolute traffic-generation speed (events/s) of
   every generative workload x model, each stream compared event for
@@ -351,7 +353,7 @@ def bench_routing_replay(quick: bool, reps: int) -> dict:
 
 
 def _exact_key(result) -> tuple:
-    """Verdict fingerprint of one exact_minimal_m scan (witness-agnostic)."""
+    """Verdict fingerprint of one exact_m scan (witness-agnostic)."""
     return (
         result.m_exact,
         tuple((per_m.m, per_m.blockable) for per_m in result.per_m),
@@ -560,18 +562,42 @@ def _estimate_key(estimates) -> list[tuple[int, int, int]]:
     return [(e.m, e.attempts, e.blocked) for e in estimates]
 
 
+def _serial_sweep(
+    kernel: str, n: int, r: int, k: int, m_values, traffic
+) -> list[tuple[int, int, int]]:
+    """The serial per-cell sweep under routing ``kernel``.
+
+    One :func:`_traffic_cell` per ``(m, seed)`` on the serial network,
+    summed per ``m`` into :func:`_estimate_key`'s shape -- the same
+    cells, in the same order, the Monte-Carlo estimators computed
+    before the lockstep engine became their only route (MSW model,
+    MSW-dominant construction, ``x = 1``, as :func:`repro.api.sweep`
+    defaults to).
+    """
+    steps = traffic.resolved_steps(1500)
+    out = []
+    with routing_kernel(kernel):
+        for m in m_values:
+            cells = [
+                _traffic_cell(
+                    n, r, m, k, Construction.MSW_DOMINANT,
+                    MulticastModel.MSW, 1, steps, seed, traffic.max_fanout,
+                    None, False, traffic,
+                )
+                for seed in traffic.seeds
+            ]
+            out.append(
+                (m, sum(c[0] for c in cells), sum(c[1] for c in cells))
+            )
+    return out
+
+
 def bench_end_to_end(quick: bool, reps: int) -> dict:
     m_values = [2, 5, 8, 11, 14]
     traffic = _grid_traffic(quick)
 
     def run(kernel):
-        return _estimate_key(
-            api.sweep(
-                4, 4, 2, m_values,
-                traffic=traffic,
-                search=api.SearchConfig(kernel=kernel),
-            )
-        )
+        return _serial_sweep(kernel, 4, 4, 2, m_values, traffic)
 
     reference_s, reference_out = _best(lambda: run("reference"), reps)
     bitmask_s, bitmask_out = _best(lambda: run("bitmask"), reps)
@@ -591,10 +617,11 @@ def bench_end_to_end(quick: bool, reps: int) -> dict:
 
 
 def bench_batched(quick: bool, reps: int) -> dict:
-    """The batched kernel vs the serial bitmask sweep at B = 64.
+    """The lockstep front door vs the serial per-cell sweep at B = 64.
 
-    Timed end to end through :func:`repro.api.sweep` (same traffic, same
-    estimates, only the kernel differs).  ``identical`` is the
+    :func:`repro.api.sweep` (the lockstep engine) is timed against
+    :func:`_serial_sweep` under the bitmask kernel on the same traffic
+    (same estimates, only the route differs).  ``identical`` is the
     conjunction of the pooled estimates matching *and* per-replication
     bit-identity: every ``(m, seed)`` cell from every available lockstep
     backend must equal the serial simulator's ``(attempts, blocked)``
@@ -606,17 +633,13 @@ def bench_batched(quick: bool, reps: int) -> dict:
     batch_size = len(m_values) * len(seeds)  # 64 lockstep replications
     traffic = api.UniformConfig(steps=500 if quick else 2000, seeds=seeds)
 
-    def run(kernel):
-        return _estimate_key(
-            api.sweep(
-                n, r, k, m_values,
-                traffic=traffic,
-                search=api.SearchConfig(kernel=kernel),
-            )
-        )
-
-    bitmask_s, bitmask_out = _best(lambda: run("bitmask"), reps)
-    batched_s, batched_out = _best(lambda: run("batched"), reps)
+    bitmask_s, bitmask_out = _best(
+        lambda: _serial_sweep("bitmask", n, r, k, m_values, traffic), reps
+    )
+    batched_s, batched_out = _best(
+        lambda: _estimate_key(api.sweep(n, r, k, m_values, traffic=traffic)),
+        reps,
+    )
 
     construction = Construction.MSW_DOMINANT
     model = MulticastModel.MSW
@@ -787,9 +810,9 @@ def bench_wide(quick: bool, reps: int) -> dict:
       recording on, and every ``m`` replication must match the serial
       reference simulator on ``(attempts, blocked)`` *and* the full
       ``explain_block`` cause dict of every blocked setup;
-    * timing -- :func:`repro.api.sweep` end to end under the
-      ``batched`` kernel on the ``python`` backend against the
-      pure-python serial ``bitmask`` kernel.  The guarded ``speedup``
+    * timing -- :func:`repro.api.sweep` end to end on the ``python``
+      backend against the pure-python serial per-cell sweep under the
+      ``bitmask`` kernel (:func:`_serial_sweep`).  The guarded ``speedup``
       (``bitmask_s / python_s``) declares a 3x ``min_speedup`` floor;
       the fused backend's time rides along but is flagged exempt when
       numba is missing (interpreted wall time says nothing about the
@@ -873,20 +896,13 @@ def bench_wide(quick: bool, reps: int) -> dict:
         seeds = (0,) if quick else (0, 1)
         traffic = api.UniformConfig(steps=steps, seeds=seeds)
 
-        def run(kernel):
-            return _estimate_key(
-                api.sweep(
-                    n, r, k, m_values,
-                    traffic=traffic,
-                    search=api.SearchConfig(kernel=kernel),
-                )
-            )
-
         def run_batched(backend):
             previous = os.environ.get(BACKEND_ENV)
             os.environ[BACKEND_ENV] = backend
             try:
-                return run("batched")
+                return _estimate_key(
+                    api.sweep(n, r, k, m_values, traffic=traffic)
+                )
             finally:
                 if previous is None:
                     del os.environ[BACKEND_ENV]
@@ -895,7 +911,9 @@ def bench_wide(quick: bool, reps: int) -> dict:
 
         if mode == "jit":
             run_batched("numba")  # compile outside the timed region
-        bitmask_s, bitmask_out = _best(lambda: run("bitmask"), reps)
+        bitmask_s, bitmask_out = _best(
+            lambda: _serial_sweep("bitmask", n, r, k, m_values, traffic), reps
+        )
         python_s, python_out = _best(lambda: run_batched("python"), reps)
         fused_s, fused_out = _best(
             lambda: run_batched("numba"), reps if mode == "jit" else 1
@@ -931,7 +949,7 @@ def bench_workloads(quick: bool, reps: int) -> dict:
     """Non-uniform workloads through the batch engine vs the serial path.
 
     The workload seam sits in the stream compiler, so a skewed model
-    must keep both halves of the lockstep contract: the batched kernel
+    must keep both halves of the lockstep contract: the front door
     replaying hotspot and heavy-tail traffic must stay bit-identical
     *per replication* to the serial bitmask simulator on the same
     stream, and must keep its speedup -- a workload that silently
@@ -958,17 +976,16 @@ def bench_workloads(quick: bool, reps: int) -> dict:
     pooled_identical = True
     for workload in workloads:
 
-        def run(kernel, workload=workload):
+        def run(workload=workload):
             return _estimate_key(
-                api.sweep(
-                    n, r, k, m_values,
-                    traffic=workload,
-                    search=api.SearchConfig(kernel=kernel),
-                )
+                api.sweep(n, r, k, m_values, traffic=workload)
             )
 
-        serial_s, serial_out = _best(lambda: run("bitmask"), reps)
-        batched_s, batched_out = _best(lambda: run("batched"), reps)
+        serial_s, serial_out = _best(
+            lambda: _serial_sweep("bitmask", n, r, k, m_values, workload),
+            reps,
+        )
+        batched_s, batched_out = _best(run, reps)
         pooled_identical = pooled_identical and serial_out == batched_out
 
         serial_cells = {
@@ -1282,8 +1299,7 @@ def bench_adaptive(quick: bool, reps: int) -> dict:
     )
 
     def run_adaptive():
-        with routing_kernel("batched"):
-            estimates = adaptive_sweep(n, r, k, m_values, **config)
+        estimates = adaptive_sweep(n, r, k, m_values, **config)
         return [
             (e.m, e.attempts, e.blocked, e.adaptive.rounds, e.adaptive.converged)
             for e in estimates
@@ -1307,9 +1323,8 @@ def bench_adaptive(quick: bool, reps: int) -> dict:
                 half_width=0.01, min_rounds=2, max_rounds=2
             ),
         )
-        with routing_kernel("batched"):
-            adaptive_sweep(n, r, k, m_values, cache=cache, **partial)
-            resumed = adaptive_sweep(n, r, k, m_values, cache=cache, **config)
+        adaptive_sweep(n, r, k, m_values, cache=cache, **partial)
+        resumed = adaptive_sweep(n, r, k, m_values, cache=cache, **config)
     for cell, estimate in zip(cells, resumed):
         if (estimate.m, estimate.attempts, estimate.blocked) != cell[:3]:
             diverged.append(

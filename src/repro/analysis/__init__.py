@@ -13,7 +13,7 @@
   by the CLI and the benchmarks.
 """
 
-from repro.analysis.montecarlo import BlockingEstimate, blocking_probability
+from repro.analysis.montecarlo import BlockingEstimate
 from repro.analysis.rendering import render_table
 from repro.analysis.sensitivity import AspectPoint, aspect_ratio_study
 from repro.analysis.traffic import LoadPoint, loss_vs_load, simulate_offered_load
@@ -33,7 +33,6 @@ __all__ = [
     "Table1Row",
     "Table2Row",
     "aspect_ratio_study",
-    "blocking_probability",
     "loss_vs_load",
     "render_table",
     "simulate_offered_load",

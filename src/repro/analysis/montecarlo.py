@@ -16,10 +16,19 @@ Determinism and parallelism
 
 Each replication owns one :class:`random.Random` stream created from
 its seed and threaded end-to-end through the traffic generator, so a
-(seed, m, config) cell is a pure function of its arguments.  Cells are
+(seed, m, config) cell is a pure function of its arguments.  The
+estimators compute every cell through the lockstep engine of
+:mod:`repro.perf.batch`: each seed's stream is compiled once and
+replayed against all of its ``m`` values in one work unit.  Units are
 fanned out through :class:`repro.perf.ParallelSweeper` and merged in
 seed order, which makes every :class:`BlockingEstimate` bit-identical
 for any ``jobs`` value -- pooled seeds are summed, never interleaved.
+
+:func:`_traffic_cell` is the serial oracle beside that one route: it
+replays one cell on a
+:class:`~repro.multistage.network.ThreeStageNetwork`, and the
+``debug_checks`` self-verification, the per-event trace of ``wdm-repro
+trace blocking`` and the benchmarks' serial baselines run it.
 
 Because every cell is a pure function of its arguments, cells are also
 *cacheable*: pass a :class:`repro.perf.cache.ResultCache` and each
@@ -35,7 +44,6 @@ from __future__ import annotations
 import json
 import math
 import random
-import warnings
 from dataclasses import dataclass, field, replace
 from statistics import NormalDist
 from typing import TYPE_CHECKING, Any
@@ -49,8 +57,7 @@ from repro.core.models import (
 )
 from repro.engine.fabrics import get_fabric
 from repro.multistage.adversary import search_blocking_state
-from repro.multistage.network import ThreeStageNetwork
-from repro.multistage.routing import get_routing_kernel
+from repro.multistage.network import ThreeStageNetwork, _debug_checks_default
 from repro.obs.meta import ResultMeta
 from repro.perf.batch import simulate_batch
 from repro.perf.sweeper import ParallelSweeper, WorkUnit
@@ -64,8 +71,6 @@ if TYPE_CHECKING:  # pragma: no cover - annotation-only imports
 __all__ = [
     "AdaptiveInfo",
     "BlockingEstimate",
-    "blocking_probability",
-    "blocking_vs_m",
 ]
 
 
@@ -214,8 +219,12 @@ class BlockingEstimate:
 
     @property
     def probability(self) -> float:
-        """Fraction of setup attempts refused."""
-        return self.blocked / self.attempts if self.attempts else 0.0
+        """Fraction of setup attempts refused.
+
+        ``nan`` with no attempts: an estimate that sampled nothing has
+        no blocking probability to report (tables print it ``n/a``).
+        """
+        return self.blocked / self.attempts if self.attempts else math.nan
 
     @property
     def stderr(self) -> float:
@@ -369,33 +378,28 @@ def _traffic_cell(
     debug_checks: bool | None = None,
     antithetic: bool = False,
     workload: "WorkloadConfig | None" = None,
-    fabric: str = "clos",
 ) -> tuple[int, int]:
-    """One replication: ``(attempts, blocked)`` for one traffic seed.
+    """The serial Clos oracle: ``(attempts, blocked)`` for one traffic seed.
+
+    Replays one ``(m, seed)`` cell on a
+    :class:`~repro.multistage.network.ThreeStageNetwork`, one event at a
+    time.  The estimators never route through it -- they run the
+    lockstep engine, which must agree with it bit for bit -- but the
+    ``debug_checks`` self-verification (:func:`_verify_unit`), the
+    per-event trace of ``wdm-repro trace blocking`` and the benchmarks'
+    serial baselines do.
 
     The seed's single ``random.Random`` stream drives the traffic
     generator end-to-end; nothing else in the cell draws randomness, so
-    the result depends only on the arguments (the parallel-safety
-    contract of the sweep engine).  With ``antithetic=True`` the stream
-    is the seed's antithetic mirror
+    the result depends only on the arguments.  With ``antithetic=True``
+    the stream is the seed's antithetic mirror
     (:class:`repro.switching.generators.AntitheticRandom`) -- the
     variance-reduction twin the adaptive driver pairs with the plain
     stream.  ``workload`` swaps in a registered traffic model from
     :mod:`repro.workloads` (None = the uniform generator, the
-    historical behaviour); its identity must accompany the cell in any
-    cache key (see :func:`_traffic_key`).  ``debug_checks`` re-verifies
-    the network invariants after every event; it cannot change the
-    result, so it is deliberately absent from the cell's cache key.
-    ``fabric`` selects the registered fabric model; the serial
-    ``ThreeStageNetwork`` below *is* the Clos admission program, so any
-    other fabric delegates to the batch engine (which replays the same
-    compiled stream through the same shared kernels, bit-identically).
+    historical behaviour).  ``debug_checks`` re-verifies the network
+    invariants after every event; it cannot change the result.
     """
-    if fabric != "clos":
-        return simulate_batch(
-            n, r, k, construction, model, x, steps, max_fanout, seed,
-            (m,), "auto", antithetic, workload, fabric,
-        )[0][1]
     _obs.inc("mc.cells")
     rng = stream_rng(seed, antithetic)
     net = ThreeStageNetwork(
@@ -431,6 +435,70 @@ def _traffic_cell(
     return attempts, blocked
 
 
+def _batch_unit(
+    unit_id: object,
+    n: int,
+    r: int,
+    k: int,
+    construction: Construction,
+    model: MulticastModel,
+    x: int,
+    steps: int,
+    max_fanout: int | None,
+    seed: int,
+    m_values: tuple[int, ...],
+    antithetic: bool,
+    workload: "WorkloadConfig | None",
+    fabric: str,
+) -> WorkUnit:
+    """One seed's lockstep work unit: every ``m`` in ``m_values`` at once."""
+    return WorkUnit(
+        unit_id=unit_id,
+        fn=simulate_batch,
+        args=(
+            n, r, k, construction, model, x, steps, max_fanout, seed,
+            m_values, "auto", antithetic, workload, fabric,
+        ),
+    )
+
+
+def _verify_unit(
+    unit: WorkUnit,
+    cells: list[tuple[int, tuple[int, int]]],
+    debug_checks: bool | None,
+) -> None:
+    """The estimators' ``debug_checks`` self-verification.
+
+    With ``debug_checks`` on (or, when None, with
+    ``WDM_REPRO_DEBUG_CHECKS`` set), every Clos cell a lockstep
+    :func:`_batch_unit` just computed is replayed through
+    :func:`_traffic_cell` on a ``ThreeStageNetwork`` that checks its
+    invariants after every event, and a disagreement in ``(attempts,
+    blocked)`` raises ``AssertionError`` naming the ``(m, seed,
+    antithetic)`` cell.  Other fabrics have no serial network to replay
+    on.  The replay runs with observability paused, so counters and
+    traces are the lockstep run's alone.
+    """
+    (n, r, k, construction, model, x, steps, max_fanout, seed, _, _,
+     antithetic, workload, fabric) = unit.args
+    if fabric != "clos":
+        return
+    if not (_debug_checks_default() if debug_checks is None else debug_checks):
+        return
+    with _obs.paused():
+        for m, value in cells:
+            serial = _traffic_cell(
+                n, r, m, k, construction, model, x, steps, seed, max_fanout,
+                True, antithetic, workload,
+            )
+            if tuple(value) != serial:
+                raise AssertionError(
+                    f"debug_checks: lockstep cell (m={m}, seed={seed}, "
+                    f"antithetic={antithetic}) gave (attempts, blocked) = "
+                    f"{tuple(value)}, the serial network {serial}"
+                )
+
+
 def _run_batched_cells(
     sweeper: ParallelSweeper,
     cache: "ResultCache | None",
@@ -443,28 +511,23 @@ def _run_batched_cells(
     x: int,
     steps: int,
     max_fanout: int | None,
-    batch: int | None,
-    backend: str = "auto",
     workload: "WorkloadConfig | None" = None,
     fabric: str = "clos",
+    debug_checks: bool | None = None,
 ) -> dict[tuple[int, int], tuple[int, int]]:
     """All ``(m, seed)`` traffic cells through the lockstep batch engine.
 
-    The ``batched`` kernel's replacement for the cell-per-work-unit
-    sweep: cells sharing a seed share one compiled traffic stream and
-    one :func:`repro.perf.batch.simulate_batch` work unit (so the
-    sweeper fans out batch-per-process), and each cell's result still
-    lands in ``cache`` under the same per-cell traffic key -- a batched
-    sweep warms the cache for cell-granular re-runs and vice versa
-    (kernel-tagged keys keep the two pipelines' entries separate).
-    ``batch`` caps replications per work unit; None packs each seed's
-    whole ``m`` column into one unit.  Each unit's fabric state runs on
-    ``backend`` as resolved by
-    :func:`repro.engine.backends.resolve_backend` (``"auto"`` honours
-    ``WDM_REPRO_BATCH_BACKEND``, then prefers the fused ``numba``
-    kernel when usable); every backend drives the same
-    :mod:`repro.engine` kernels, so results are bit-identical to this
-    serial loop -- which is why cache keys ignore the backend entirely.
+    Cells sharing a seed share one compiled traffic stream and one
+    :func:`repro.perf.batch.simulate_batch` work unit (so the sweeper
+    fans out batch-per-process), and each cell's result lands in
+    ``cache`` under its own per-cell traffic key: a re-run computes
+    only the missing cells.  Each unit's fabric state runs on the
+    backend :func:`repro.engine.backends.resolve_backend` picks for
+    ``"auto"`` (``WDM_REPRO_BATCH_BACKEND``, else the fused ``numba``
+    kernel when usable, else ``python``); every backend is
+    bit-identical, which is why cache keys ignore the backend.
+    Freshly computed cells pass :func:`_verify_unit` before they are
+    stored.
     """
     results: dict[tuple[int, int], tuple[int, int]] = {}
     keys: dict[tuple[int, int], str] = {}
@@ -485,27 +548,17 @@ def _run_batched_cells(
     by_seed: dict[int, list[int]] = {}
     for m, seed in pending:
         by_seed.setdefault(seed, []).append(m)
-    chunk = None if batch is None else max(1, batch)
-    units = []
-    for seed in sorted(by_seed):
-        ms = by_seed[seed]
-        size = len(ms) if chunk is None else chunk
-        for start in range(0, len(ms), size):
-            units.append(
-                WorkUnit(
-                    unit_id=(seed, start),
-                    fn=simulate_batch,
-                    args=(
-                        n, r, k, construction, model, x, steps, max_fanout,
-                        seed, tuple(ms[start : start + size]), backend,
-                        False, workload, fabric,
-                    ),
-                )
-            )
-    for unit_result in sweeper.run(units):
-        seed = unit_result.unit_id[0]
+    units = [
+        _batch_unit(
+            seed, n, r, k, construction, model, x, steps, max_fanout, seed,
+            tuple(by_seed[seed]), False, workload, fabric,
+        )
+        for seed in sorted(by_seed)
+    ]
+    for unit, unit_result in zip(units, sweeper.run(units)):
+        _verify_unit(unit, unit_result.value, debug_checks)
         for m, value in unit_result.value:
-            cell = (m, seed)
+            cell = (m, unit.unit_id)
             results[cell] = value
             if cache is not None:
                 cache.put(keys[cell], value)
@@ -528,8 +581,6 @@ def _blocking_probability_impl(
     cache: "ResultCache | None" = None,
     executor: str = "process",
     debug_checks: bool | None = None,
-    batch: int | None = None,
-    backend: str = "auto",
     workload: "WorkloadConfig | None" = None,
     fabric: str = "clos",
 ) -> BlockingEstimate:
@@ -551,58 +602,25 @@ def _blocking_probability_impl(
             ``"auto"`` = adapt to the host).
         cache: optional per-cell result cache (incremental re-runs).
         executor: worker pool kind, ``"process"`` or ``"thread"``.
-        debug_checks: per-event invariant checking inside each cell
-            (slow; result-identical, so cache keys ignore it).
-        batch: under ``routing_kernel("batched")``, the cap on lockstep
-            replications per work unit (None = one unit per seed);
-            ignored by the other kernels, never affects results.
-        backend: under ``routing_kernel("batched")``, the fabric-state
-            backend for the lockstep replay (``"auto"``, ``"python"``,
-            ``"numba"`` or a registered name); ignored by
-            the other kernels, never affects results.
+        debug_checks: replay every freshly computed cell through the
+            serial network with per-event invariant checks and raise on
+            any disagreement (slow; result-identical, so cache keys
+            ignore it) -- see :func:`_verify_unit`.
         workload: a registered traffic model from
             :mod:`repro.workloads` (None = uniform, the historical
             behaviour); its identity joins every cell cache key.
         fabric: the registered fabric model the traffic replays through
             (:mod:`repro.engine.fabrics`; ``"clos"`` is the paper's
-            network and the bit-identical legacy path).  Its token
-            joins every non-Clos cell cache key.
+            network).  Its token joins every non-Clos cell cache key.
     """
     with ParallelSweeper(jobs, executor=executor) as sweeper:
-        if get_routing_kernel() == "batched":
-            by_cell = _run_batched_cells(
-                sweeper, cache, [(m, seed) for seed in seeds],
-                n, r, k, construction, model, x, steps, max_fanout, batch,
-                backend, workload, fabric,
-            )
-            values = [by_cell[(m, seed)] for seed in seeds]
-        else:
-            results = sweeper.run(
-                (
-                    WorkUnit(
-                        unit_id=seed,
-                        fn=_traffic_cell,
-                        args=(
-                            n, r, m, k, construction, model, x, steps, seed,
-                            max_fanout, debug_checks, False, workload, fabric,
-                        ),
-                        cache_key=(
-                            None
-                            if cache is None
-                            else _traffic_key(
-                                cache, n, r, m, k, construction, model, x,
-                                steps, seed, max_fanout, workload, fabric,
-                            )
-                        ),
-                    )
-                    for seed in seeds
-                ),
-                cache=cache,
-            )
-            values = [result.value for result in results]
+        by_cell = _run_batched_cells(
+            sweeper, cache, [(m, seed) for seed in seeds],
+            n, r, k, construction, model, x, steps, max_fanout, workload,
+            fabric, debug_checks,
+        )
         plan = sweeper.last_plan
-    attempts = sum(value[0] for value in values)
-    blocked = sum(value[1] for value in values)
+    values = [by_cell[(m, seed)] for seed in seeds]
     return BlockingEstimate(
         n=n,
         r=r,
@@ -611,48 +629,20 @@ def _blocking_probability_impl(
         construction=construction,
         model=model,
         x=x,
-        attempts=attempts,
-        blocked=blocked,
+        attempts=sum(value[0] for value in values),
+        blocked=sum(value[1] for value in values),
         meta=ResultMeta.capture(plan, workload=workload),
     )
 
 
-def blocking_probability(
-    n: int, r: int, m: int, k: int, **kwargs: Any
-) -> BlockingEstimate:
-    """Deprecated kwargs entry point; use :func:`repro.api.blocking`.
-
-    Behaves exactly like the pre-``repro.api`` function (same kwargs,
-    same pooled numbers), so existing callers and golden values are
-    unaffected; it just warns.
-    """
-    warnings.warn(
-        "blocking_probability(**kwargs) is deprecated; use repro.api."
-        "blocking(n, r, m, k, traffic=UniformConfig(...), "
-        "execution=ExecConfig(...))",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return _blocking_probability_impl(n, r, m, k, **kwargs)
-
-
-def _adversary_seeds(
-    m: int, count: int, traffic_key: str | None = None
-) -> list[int]:
+def _adversary_seeds(m: int, count: int, traffic_key: str) -> list[int]:
     """The deterministic adversary-seed schedule for one ``m`` point.
 
-    With a ``traffic_key`` (the new default through :mod:`repro.api`),
-    the schedule is derived from the *whole* configuration, so two
-    sweeps with equal ``m`` but different topology/model/traffic get
-    independent adversary streams.  ``traffic_key=None`` reproduces the
-    legacy ``m``-only derivation (kept for the deprecated
-    :func:`blocking_vs_m` shim so golden adversarial values never
-    shift).
+    Derived from the *whole* configuration (``traffic_key``, see
+    :func:`_adversary_traffic_key`), so two sweeps with equal ``m`` but
+    different topology/model/traffic get independent adversary streams.
     """
-    if traffic_key is None:
-        rng = random.Random(m)
-    else:
-        rng = random.Random(f"{traffic_key}|m={m}")
+    rng = random.Random(f"{traffic_key}|m={m}")
     return [rng.randrange(10**9) for _ in range(count)]
 
 
@@ -688,9 +678,6 @@ def _blocking_vs_m_impl(
     cache: "ResultCache | None" = None,
     executor: str = "process",
     debug_checks: bool | None = None,
-    legacy_adversary_seeds: bool = False,
-    batch: int | None = None,
-    backend: str = "auto",
     workload: "WorkloadConfig | None" = None,
     fabric: str = "clos",
 ) -> list[BlockingEstimate]:
@@ -703,23 +690,19 @@ def _blocking_vs_m_impl(
     blocking, one synthetic blocked attempt is recorded so the curve
     reflects *worst-case* rather than average-case behaviour.
 
-    All (m, seed) traffic cells -- and, in adversarial mode, all
-    (m, adversary-seed) cells -- are independent work units fanned out
-    through the sweep engine; with ``jobs > 1`` (or ``"auto"``) they
-    run concurrently and merge by cell id, so the curve is
-    bit-identical to ``jobs=1`` (serial short-circuits skip redundant
-    adversary cells but pick the same first witness).  Both sweep
-    stages share one sweeper, so a parallel run pays the pool spawn
-    cost once.  With ``cache``, every cell is content-addressed in the
-    given :class:`~repro.perf.cache.ResultCache`, so re-runs only
-    compute cells missing from the cache.
-
-    Under ``routing_kernel("batched")`` the traffic stage instead runs
-    each seed's whole ``m`` column in lockstep through
-    :mod:`repro.perf.batch` (``batch`` caps replications per work unit,
-    ``backend`` picks the fabric-state backend) -- per-cell results,
-    cache entries and the adversarial stage are bit-identical to the
-    bitmask kernel's either way.
+    The traffic stage runs each seed's whole ``m`` column in lockstep
+    through :mod:`repro.perf.batch`, one work unit per seed; in
+    adversarial mode every (m, adversary-seed) search is a work unit
+    too.  With ``jobs > 1`` (or ``"auto"``) units run concurrently and
+    merge by id, so the curve is bit-identical to ``jobs=1`` (serial
+    short-circuits skip redundant adversary cells but pick the same
+    first witness).  Both stages share one sweeper, so a parallel run
+    pays the pool spawn cost once.  With ``cache``, every cell is
+    content-addressed in the given
+    :class:`~repro.perf.cache.ResultCache`, so re-runs only compute
+    cells missing from the cache.  ``debug_checks`` replays every
+    freshly computed traffic cell through the serial network (see
+    :func:`_verify_unit`).
     """
     if adversarial and workload is not None and workload.token() is not None:
         raise ValueError(
@@ -733,44 +716,14 @@ def _blocking_vs_m_impl(
             "(the adversary constructs three-stage worst-case states); "
             f"got fabric {fabric!r}"
         )
-    traffic_key = (
-        None
-        if legacy_adversary_seeds
-        else _adversary_traffic_key(n, r, k, construction, model, x)
-    )
+    traffic_key = _adversary_traffic_key(n, r, k, construction, model, x)
     with ParallelSweeper(jobs, executor=executor) as sweeper:
-        if get_routing_kernel() == "batched":
-            by_cell = _run_batched_cells(
-                sweeper, cache,
-                [(m, seed) for m in m_values for seed in seeds],
-                n, r, k, construction, model, x, steps, max_fanout, batch,
-                backend, workload, fabric,
-            )
-        else:
-            cells = sweeper.run(
-                (
-                    WorkUnit(
-                        unit_id=(m, seed),
-                        fn=_traffic_cell,
-                        args=(
-                            n, r, m, k, construction, model, x, steps, seed,
-                            max_fanout, debug_checks, False, workload, fabric,
-                        ),
-                        cache_key=(
-                            None
-                            if cache is None
-                            else _traffic_key(
-                                cache, n, r, m, k, construction, model, x,
-                                steps, seed, max_fanout, workload, fabric,
-                            )
-                        ),
-                    )
-                    for m in m_values
-                    for seed in seeds
-                ),
-                cache=cache,
-            )
-            by_cell = {result.unit_id: result.value for result in cells}
+        by_cell = _run_batched_cells(
+            sweeper, cache,
+            [(m, seed) for m in m_values for seed in seeds],
+            n, r, k, construction, model, x, steps, max_fanout, workload,
+            fabric, debug_checks,
+        )
         estimates = []
         for m in m_values:
             attempts = sum(by_cell[(m, seed)][0] for seed in seeds)
@@ -878,25 +831,3 @@ def _blocking_vs_m_impl(
     meta = ResultMeta.capture(sweeper.last_plan, workload=workload)
     return [replace(estimate, meta=meta) for estimate in estimates]
 
-
-def blocking_vs_m(
-    n: int, r: int, k: int, m_values: list[int], **kwargs: Any
-) -> list[BlockingEstimate]:
-    """Deprecated kwargs entry point; use :func:`repro.api.sweep`.
-
-    Behaves exactly like the pre-``repro.api`` function -- including
-    the legacy ``m``-only adversary-seed schedule, so golden
-    adversarial curves stay reproducible; it just warns.  The typed
-    facade derives adversary seeds from the whole configuration (the
-    fixed behavior) -- see :func:`repro.api.sweep`.
-    """
-    warnings.warn(
-        "blocking_vs_m(**kwargs) is deprecated; use repro.api.sweep"
-        "(n, r, k, m_values, traffic=UniformConfig(...), "
-        "execution=ExecConfig(...))",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return _blocking_vs_m_impl(
-        n, r, k, m_values, legacy_adversary_seeds=True, **kwargs
-    )

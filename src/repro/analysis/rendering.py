@@ -2,9 +2,15 @@
 
 from __future__ import annotations
 
+import math
 from collections.abc import Sequence
 
-__all__ = ["render_table"]
+__all__ = ["format_probability", "render_table"]
+
+
+def format_probability(probability: float) -> str:
+    """A probability to four places; ``n/a`` for an unsampled ``nan``."""
+    return "n/a" if math.isnan(probability) else f"{probability:.4f}"
 
 
 def render_table(

@@ -12,6 +12,7 @@ from __future__ import annotations
 import io
 
 from repro.analysis.figures import bound_vs_x, capacity_growth, find_crossover
+from repro.analysis.rendering import format_probability
 from repro import api
 from repro.analysis.tables import render_table1, render_table2
 from repro.core.corrected import min_middle_switches_corrected
@@ -90,7 +91,10 @@ def generate_report(
         traffic=api.UniformConfig(steps=steps, seeds=(0,)),
     )
     for estimate in estimates:
-        w(f"- m={estimate.m}: P(block) = {estimate.probability:.4f}\n")
+        w(
+            f"- m={estimate.m}: P(block) = "
+            f"{format_probability(estimate.probability)}\n"
+        )
     w(f"\nTheorem-1 bound: m = {bound}.\n\n")
 
     # -- Fig. 10 -----------------------------------------------------------

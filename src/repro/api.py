@@ -1,21 +1,18 @@
-"""Typed public facade over the analysis entry points.
+"""Typed public facade: the one front door to the analysis engines.
 
-The entry points grown by the perf work --
-``blocking_probability``, ``blocking_vs_m``, ``exact_minimal_m`` --
-each sprouted their own kwargs (``jobs``, ``cache``, ``kernel``,
-``canonicalize``, ``debug_checks``).  This module replaces that kwarg
-sprawl with frozen config dataclasses grouped by concern:
+Frozen config dataclasses grouped by concern:
 
 * the :class:`repro.workloads.WorkloadConfig` family -- what traffic to
-  offer.  :class:`UniformConfig` is the uniform member (the legacy
-  behaviour, bit-identical); :class:`HotspotConfig`,
+  offer.  :class:`UniformConfig` is the uniform member (the paper's
+  i.i.d. requests); :class:`HotspotConfig`,
   :class:`HeavyTailFanoutConfig`, :class:`PoissonErlangConfig` and
   :class:`TraceConfig` are the non-uniform models, and any config
   registered with :func:`repro.workloads.register_workload` works too;
 * :class:`ExecConfig` -- how to run it (worker count, pool kind,
   result-cache directory, precision targeting);
-* :class:`SearchConfig` -- how to search (routing kernel,
-  canonicalized exhaustive search, per-event invariant checks);
+* :class:`SearchConfig` -- how to search (routing kernel of the
+  exhaustive and adversarial searches, canonicalized exhaustive search,
+  self-verification);
 
 and three verbs that consume them:
 
@@ -23,14 +20,13 @@ and three verbs that consume them:
 * :func:`sweep` -- the blocking-vs-``m`` curve;
 * :func:`exact_m` -- the exhaustive exact nonblocking threshold.
 
-Every result carries the shared :class:`repro.obs.meta.ResultMeta`
-provenance envelope, which now records the workload that produced the
-numbers.  The legacy kwargs signatures -- and the legacy
-:class:`TrafficConfig` name, now a deprecated alias of
-:class:`UniformConfig` -- still work bit-identically but emit
-``DeprecationWarning``.  One behavioral fix ships only here: adversary
-seeds derive from the whole configuration, not just ``m`` (the legacy
-shims keep the old ``m``-only schedule so golden values never shift).
+:func:`blocking` and :func:`sweep` have one Monte-Carlo route: the
+lockstep engine of :mod:`repro.perf.batch`, on the backend
+``resolve_backend("auto")`` picks (``WDM_REPRO_BATCH_BACKEND``
+overrides it).  Every result carries the shared
+:class:`repro.obs.meta.ResultMeta` provenance envelope, which records
+the workload that produced the numbers.  Adversary seeds derive from
+the whole configuration, not just ``m``.
 
 Typical use::
 
@@ -47,7 +43,6 @@ Typical use::
 
 from __future__ import annotations
 
-import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Iterator
@@ -86,7 +81,6 @@ __all__ = [
     "PrecisionConfig",
     "SearchConfig",
     "TraceConfig",
-    "TrafficConfig",
     "UniformConfig",
     "WorkloadConfig",
     "blocking",
@@ -99,48 +93,12 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class TrafficConfig(UniformConfig):
-    """Deprecated alias of :class:`repro.workloads.UniformConfig`.
-
-    The pre-workload-library name of the uniform traffic config.  It
-    *is* a ``UniformConfig`` (same fields, same defaults, bit-identical
-    streams and cache keys), so every existing call keeps its numbers;
-    constructing it just warns.  New code should use
-    :class:`UniformConfig` -- or any other member of the
-    :class:`repro.workloads.WorkloadConfig` family.
-    """
-
-    def __post_init__(self) -> None:
-        warnings.warn(
-            "repro.api.TrafficConfig is deprecated; use repro.api."
-            "UniformConfig (or any repro.workloads config: HotspotConfig, "
-            "HeavyTailFanoutConfig, PoissonErlangConfig, TraceConfig, ...)",
-            DeprecationWarning,
-            stacklevel=3,
-        )
-        super().__post_init__()
-
-
 def _as_workload(traffic: WorkloadConfig) -> WorkloadConfig:
-    """Validate and normalize the ``traffic`` argument.
-
-    The deprecated :class:`TrafficConfig` shim (which already warned at
-    construction) is normalized to a plain :class:`UniformConfig`, so
-    downstream work units and provenance never mention the legacy type.
-    """
+    """Validate the ``traffic`` argument."""
     if not isinstance(traffic, WorkloadConfig):
         raise TypeError(
             "traffic must be a repro.workloads config (UniformConfig, "
             f"HotspotConfig, ...), got {type(traffic).__name__}"
-        )
-    if type(traffic) is TrafficConfig:
-        return UniformConfig(
-            steps=traffic.steps,
-            seeds=traffic.seeds,
-            max_fanout=traffic.max_fanout,
-            adversarial=traffic.adversarial,
-            adversary_seeds=traffic.adversary_seeds,
         )
     return traffic
 
@@ -151,8 +109,8 @@ class FabricConfig:
 
     Attributes:
         name: a :mod:`repro.engine.fabrics` registry name -- ``"clos"``
-            (the paper's three-stage network; the default and the
-            bit-identical legacy path), ``"crossbar"`` (the single-stage
+            (the paper's three-stage network; the default),
+            ``"crossbar"`` (the single-stage
             nonblocking baseline), ``"awg_clos"`` (the AWG-routed Clos
             variant), or any name added with
             :func:`repro.engine.fabrics.register_fabric`.
@@ -189,18 +147,6 @@ class ExecConfig:
         cache_dir: directory of a content-addressed
             :class:`repro.perf.cache.ResultCache`; None disables
             caching.
-        batch: under ``kernel="batched"``, cap on lockstep replications
-            per work unit (None packs each seed's whole ``m`` column
-            into one unit).  Ignored by the other kernels; never
-            affects results, only how work is sliced across workers.
-        backend: under ``kernel="batched"``, the fabric-state backend
-            inside each work unit -- ``"auto"`` (default; honours
-            ``WDM_REPRO_BATCH_BACKEND``, then prefers the fused
-            ``numba`` kernel when usable, else ``python``),
-            ``"python"``, ``"numba"`` or any name added
-            through :func:`repro.engine.backends.register_backend`.
-            Ignored by the other kernels; all backends are
-            bit-identical, see ``wdm-repro kernels``.
         precision: switch :func:`blocking` and :func:`sweep` from the
             fixed ``traffic.seeds`` replication budget to the adaptive
             sequential-stopping engine
@@ -216,8 +162,6 @@ class ExecConfig:
     jobs: int | str = 1
     executor: str = "process"
     cache_dir: str | None = None
-    batch: int | None = None
-    backend: str = "auto"
     precision: PrecisionConfig | None = None
 
     def cache(self) -> ResultCache | None:
@@ -230,15 +174,18 @@ class SearchConfig:
     """How to search: kernel choice and self-verification.
 
     Attributes:
-        kernel: cover-search kernel -- ``"bitmask"``, ``"batched"``
-            (bitmask routing plus the lockstep Monte-Carlo engine of
-            :mod:`repro.perf.batch`) or ``"reference"``; None (default)
-            keeps the process's active kernel.
+        kernel: cover-search kernel of the serial routes --
+            :func:`exact_m` and adversarial probing -- ``"bitmask"`` or
+            ``"reference"``; None (default) keeps the process's active
+            kernel.  The kernel id also joins every cache key.  The
+            Monte-Carlo estimators always replay in lockstep, so their
+            numbers never depend on it.
         canonicalize: dedup exhaustive-search states by canonical
             signature (identical verdicts, far fewer states).
-        debug_checks: re-verify network invariants after every
-            connect/disconnect inside Monte-Carlo cells (slow;
-            result-identical).  None defers to the
+        debug_checks: replay every freshly computed Monte-Carlo cell
+            through the serial network, re-verifying its invariants
+            after every connect/disconnect, and raise if the counts
+            differ (slow; result-identical).  None defers to the
             ``WDM_REPRO_DEBUG_CHECKS`` environment variable.
     """
 
@@ -296,8 +243,6 @@ def _adaptive(
             cache=execution.cache(),
             executor=execution.executor,
             debug_checks=search.debug_checks,
-            batch=execution.batch,
-            backend=execution.backend,
             workload=traffic,
             fabric=fabric,
         )
@@ -319,13 +264,11 @@ def blocking(
 ) -> BlockingEstimate:
     """Blocking probability of ``v(n, r, m, k)`` under dynamic traffic.
 
-    The typed replacement for ``blocking_probability``; numbers are
-    bit-identical to the legacy call with the same parameters.
     ``traffic`` accepts any :mod:`repro.workloads` config -- the
-    uniform default reproduces the historical generator, the others
-    reshape the offered traffic while keeping every kernel/backend
-    bit-identical per replication.  The returned estimate carries a
-    :class:`repro.obs.meta.ResultMeta` envelope (kernel, execution
+    uniform default reproduces the paper's generator, the others
+    reshape the offered traffic.  Every seed's stream is replayed in
+    lockstep by :mod:`repro.perf.batch`.  The returned estimate carries
+    a :class:`repro.obs.meta.ResultMeta` envelope (kernel, execution
     plan, workload, obs summary when enabled).
 
     With ``execution.precision`` set, the fixed ``traffic.seeds``
@@ -357,8 +300,6 @@ def blocking(
             cache=execution.cache(),
             executor=execution.executor,
             debug_checks=search.debug_checks,
-            batch=execution.batch,
-            backend=execution.backend,
             workload=traffic,
             fabric=fabric_name,
         )
@@ -380,14 +321,12 @@ def sweep(
 ) -> list[BlockingEstimate]:
     """The blocking-probability-vs-``m`` curve (implied figure X3).
 
-    The typed replacement for ``blocking_vs_m``; ``traffic`` accepts
-    any :mod:`repro.workloads` config (see :func:`blocking`).  One
-    behavioral fix over the legacy call: with ``traffic.adversarial``,
-    the adversary-seed schedule is derived from the whole configuration
-    (topology, construction, model, x) instead of from ``m`` alone, so
-    two sweeps sharing an ``m`` value no longer reuse identical
-    adversary streams.  The deprecated ``blocking_vs_m`` keeps the old
-    schedule for reproducibility of golden values.  Adversarial probing
+    ``traffic`` accepts any :mod:`repro.workloads` config (see
+    :func:`blocking`); each seed's stream is compiled once and replayed
+    against every ``m`` in lockstep.  With ``traffic.adversarial``, the
+    adversary-seed schedule is derived from the whole configuration
+    (topology, construction, model, x), so two sweeps sharing an ``m``
+    value never reuse identical adversary streams.  Adversarial probing
     is only meaningful for uniform traffic and is rejected otherwise.
 
     With ``execution.precision`` set, every curve point samples until
@@ -421,8 +360,6 @@ def sweep(
             cache=execution.cache(),
             executor=execution.executor,
             debug_checks=search.debug_checks,
-            batch=execution.batch,
-            backend=execution.backend,
             workload=traffic,
             fabric=fabric_name,
         )
@@ -442,11 +379,7 @@ def exact_m(
     execution: ExecConfig = ExecConfig(),
     search: SearchConfig = SearchConfig(),
 ) -> ExactMinimal:
-    """The exact minimal nonblocking ``m`` by exhaustive model checking.
-
-    The typed replacement for ``exact_minimal_m``; verdicts are
-    identical to the legacy call with the same parameters.
-    """
+    """The exact minimal nonblocking ``m`` by exhaustive model checking."""
     with search.applied():
         return _exact_minimal_m_impl(
             n, r, k,

@@ -8,7 +8,6 @@ Usage (installed as ``wdm-repro``, or ``python -m repro``)::
     wdm-repro crossover --k 4
     wdm-repro capacity --n-ports 8 --k-max 6
     wdm-repro blocking --n 3 --r 3 --k 2 --m-max 10
-    wdm-repro blocking --n 3 --r 3 --k 2 --m-max 10 --kernel batched
     wdm-repro sweep --n 3 --r 3 --k 2 --m-max 10 --ci-halfwidth 0.01
     wdm-repro sweep --n 3 --r 3 --k 2 --m-max 10 --resume
     wdm-repro blocking --n 3 --r 3 --k 2 --m-max 10 --workload hotspot \\
@@ -32,7 +31,7 @@ from collections.abc import Sequence
 
 from repro import api, obs
 from repro.analysis.figures import bound_vs_x, capacity_growth, find_crossover
-from repro.analysis.rendering import render_table
+from repro.analysis.rendering import format_probability, render_table
 from repro.analysis.tables import render_table1, render_table2
 from repro.core.models import (
     Construction,
@@ -83,31 +82,6 @@ def _jobs(value: str) -> int | str:
         ) from exc
 
 
-def _kernel(value: str) -> str:
-    from repro.multistage.routing import _KERNELS
-
-    lowered = value.lower()
-    if lowered not in _KERNELS:
-        raise argparse.ArgumentTypeError(
-            f"unknown kernel {value!r}; choose from "
-            + ", ".join(sorted(_KERNELS))
-        )
-    return lowered
-
-
-def _backend(value: str) -> str:
-    from repro.engine.backends import BACKENDS, available_backends
-
-    lowered = value.lower()
-    known = {"auto", *BACKENDS, *available_backends()}
-    if lowered not in known:
-        raise argparse.ArgumentTypeError(
-            f"unknown backend {value!r}; choose from "
-            + ", ".join(sorted(known))
-        )
-    return lowered
-
-
 def _workload(value: str) -> str:
     from repro.workloads import workload_names
 
@@ -146,8 +120,6 @@ def _exec_config(
     return api.ExecConfig(
         jobs=args.jobs,
         cache_dir=args.cache_dir if args.cache else None,
-        batch=getattr(args, "batch", None),
-        backend=getattr(args, "backend", "auto"),
         precision=precision,
     )
 
@@ -287,10 +259,10 @@ def _cmd_blocking(args: argparse.Namespace) -> str:
             traffic=traffic,
             fabric=args.fabric,
             execution=_exec_config(args),
-            search=api.SearchConfig(kernel=args.kernel),
         )
     rows = [
-        [e.m, e.attempts, e.blocked, f"{e.probability:.4f}", _ci_cell(e)]
+        [e.m, e.attempts, e.blocked, format_probability(e.probability),
+         _ci_cell(e)]
         for e in estimates
     ]
     fabric_note = "" if args.fabric == "clos" else f", {args.fabric} fabric"
@@ -341,7 +313,6 @@ def _cmd_sweep(args: argparse.Namespace) -> str:
             traffic=traffic,
             fabric=args.fabric,
             execution=_exec_config(args, precision),
-            search=api.SearchConfig(kernel=args.kernel),
         )
     rows = []
     for e in estimates:
@@ -351,7 +322,7 @@ def _cmd_sweep(args: argparse.Namespace) -> str:
                 e.m,
                 e.attempts,
                 e.blocked,
-                f"{e.probability:.4f}",
+                format_probability(e.probability),
                 _ci_cell(e),
                 info.rounds,
                 info.events,
@@ -410,22 +381,22 @@ def _cmd_trace(args: argparse.Namespace) -> str:
     import io
     import json
 
+    from repro.analysis.montecarlo import _traffic_cell
+
     sink = io.StringIO()
     tracer = obs.Tracer(sink)
     with obs.capture(tracer=tracer):
         if args.scenario == "fig10":
             fig10_scenario()
         else:
-            api.blocking(
-                args.n, args.r, args.m, args.k,
-                model=args.model,
-                construction=args.construction,
-                x=args.x,
-                traffic=api.UniformConfig(
-                    steps=args.steps,
-                    seeds=tuple(int(s) for s in args.seeds.split(",")),
-                ),
-            )
+            # The lockstep estimator records counters, not events: the
+            # per-event trace replays each seed on the serial network,
+            # whose totals are the estimate's numerator and denominator.
+            for seed in args.seeds.split(","):
+                _traffic_cell(
+                    args.n, args.r, args.m, args.k, args.construction,
+                    args.model, args.x, args.steps, int(seed), None,
+                )
     tracer.close()
     payload = sink.getvalue()
     records = [json.loads(line) for line in payload.splitlines()]
@@ -479,39 +450,21 @@ def _cmd_kernels(args: argparse.Namespace) -> str:
 
     from repro.engine.backends import (
         BACKEND_ENV,
-        available_backends,
         backend_status,
         resolve_backend,
     )
     from repro.engine.planes import WORD_BITS, PlaneLayout
     from repro.multistage.routing import _KERNELS, get_routing_kernel
 
-    available = set(available_backends())
     status = backend_status()
-    backends = sorted(status)
-    rows = []
-    for kernel in _KERNELS:
-        cells = []
-        for backend in backends:
-            if kernel != "batched":
-                # Serial single-request kernels never touch a state
-                # backend; only the lockstep replay is parameterized.
-                cells.append("n/a")
-            elif backend in available:
-                cells.append("yes")
-            else:
-                cells.append("not installed")
-        rows.append([kernel, *cells])
-    table = render_table(
-        ["kernel", *backends],
-        rows,
-        title="Routing kernels x batch state backends",
-    )
     override = os.environ.get(BACKEND_ENV, "").strip()
     lines = [
-        table,
+        "Monte-Carlo estimators (blocking, sweep): lockstep replay on "
+        "the auto backend",
+        f"routing kernels of the serial routes (exact, adversary): "
+        f"{', '.join(_KERNELS)}",
         "backend status:",
-        *(f"  {backend}: {status[backend]}" for backend in backends),
+        *(f"  {backend}: {status[backend]}" for backend in sorted(status)),
         f"active routing kernel: {get_routing_kernel()}",
         f"auto backend resolves to: "
         f"{resolve_backend('auto', m_max=1, r=1, k=1)}",
@@ -775,35 +728,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_fabric_flag(p)
     _add_workload_flags(p)
     p.add_argument(
-        "--kernel",
-        type=_kernel,
-        default=None,
-        metavar="{reference,bitmask,batched}",
-        help="simulation kernel: 'bitmask' (default) runs cells one at a "
-        "time on the int-mask cover search, 'batched' replays each "
-        "seed's traffic against every m in lockstep (same numbers, "
-        "fastest), 'reference' is the frozenset oracle; results are "
-        "bit-identical across all three",
-    )
-    p.add_argument(
-        "--batch",
-        type=int,
-        default=None,
-        metavar="B",
-        help="with --kernel batched: cap on lockstep replications per "
-        "work unit (default: one unit per seed); never affects results",
-    )
-    p.add_argument(
-        "--backend",
-        type=_backend,
-        default="auto",
-        metavar="{auto,python,numba}",
-        help="with --kernel batched: fabric-state backend for the "
-        "lockstep replay ('auto' prefers the fused numba kernel when "
-        "usable, else python); bit-identical across backends -- see "
-        "'wdm-repro kernels' for availability",
-    )
-    p.add_argument(
         "--jobs",
         type=_jobs,
         default=1,
@@ -852,22 +776,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--min-rounds", type=int, default=2)
     p.add_argument("--max-rounds", type=int, default=64)
-    p.add_argument(
-        "--kernel",
-        type=_kernel,
-        default=None,
-        metavar="{reference,bitmask,batched}",
-        help="simulation kernel (see 'wdm-repro blocking --help'); "
-        "bit-identical across all three",
-    )
-    p.add_argument(
-        "--backend",
-        type=_backend,
-        default="auto",
-        metavar="{auto,python,numba}",
-        help="with --kernel batched: fabric-state backend for the "
-        "lockstep replay",
-    )
     p.add_argument(
         "--jobs",
         type=_jobs,
@@ -972,7 +880,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "kernels",
-        help="kernel x backend availability matrix (and active overrides)",
+        help="replay backends, routing kernels and active overrides",
     )
     p.set_defaults(func=_cmd_kernels)
 

@@ -25,7 +25,6 @@ from repro.multistage.adversary import (
 from repro.multistage.exhaustive import (
     BlockableResult,
     ExactMinimal,
-    exact_minimal_m,
     is_blockable,
 )
 from repro.multistage.fabric_backed import FabricBackedThreeStage
@@ -74,7 +73,6 @@ __all__ = [
     "ThreeStageTopology",
     "best_recursive_design",
     "demonstrate_theorem1_gap",
-    "exact_minimal_m",
     "fig10_scenario",
     "find_cover",
     "find_cover_bits",

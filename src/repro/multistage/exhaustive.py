@@ -19,8 +19,9 @@ outright by model checking:
 
 :func:`is_blockable` performs a depth-first enumeration of routed
 configurations (deduplicated by resource signature) and reports the
-first blocking witness; :func:`exact_minimal_m` binary-scans ``m`` to
-find the true threshold, which the benchmarks compare against the
+first blocking witness; :func:`_exact_minimal_m_impl` (reached
+through :func:`repro.api.exact_m`) scans ``m`` upward to find the true
+threshold, which the benchmarks compare against the
 sufficient bounds.  Exponential, of course -- intended for ``N k <= 8``
 and small ``m``.
 
@@ -49,7 +50,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations, product
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING
 
 from repro import obs as _obs
 from repro.core.models import Construction, MulticastModel
@@ -61,7 +62,7 @@ from repro.multistage.routing import get_routing_kernel, mask_of
 from repro.perf.sweeper import ParallelSweeper, WorkUnit
 from repro.switching.requests import Endpoint, MulticastConnection
 
-__all__ = ["BlockableResult", "ExactMinimal", "exact_minimal_m", "is_blockable"]
+__all__ = ["BlockableResult", "ExactMinimal", "is_blockable"]
 
 
 @dataclass(frozen=True)
@@ -511,21 +512,3 @@ def _exact_minimal_m_impl(
         m_exact=None, per_m=tuple(results),
     )
 
-
-def exact_minimal_m(n: int, r: int, k: int, **kwargs: Any) -> ExactMinimal:
-    """Deprecated kwargs entry point; use :func:`repro.api.exact_m`.
-
-    Behaves exactly like the pre-``repro.api`` function (same kwargs,
-    same results), so existing callers and golden values are
-    unaffected; it just warns.  See :func:`repro.api.exact_m` for the
-    typed-config replacement.
-    """
-    import warnings
-
-    warnings.warn(
-        "exact_minimal_m(**kwargs) is deprecated; use repro.api.exact_m"
-        "(n, r, k, search=SearchConfig(...), execution=ExecConfig(...))",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return _exact_minimal_m_impl(n, r, k, **kwargs)

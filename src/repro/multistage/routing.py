@@ -59,13 +59,12 @@ __all__ = [
     "set_routing_kernel",
 ]
 
-#: the process-wide active kernel: ``"bitmask"``, ``"batched"`` or
-#: ``"reference"``.  ``"batched"`` routes single requests exactly like
-#: ``"bitmask"`` (same cover search, same covers); it additionally makes
-#: the Monte-Carlo estimators run all replications in lockstep through
-#: :mod:`repro.perf.batch` instead of one network at a time.
+#: the process-wide active kernel: ``"bitmask"`` or ``"reference"``.
+#: It steers the serial routes (the network, the exhaustive checker,
+#: the adversary) and tags cache keys; the Monte-Carlo estimators
+#: always replay in lockstep through :mod:`repro.perf.batch`.
 _ACTIVE_KERNEL = "bitmask"
-_KERNELS = ("bitmask", "batched", "reference")
+_KERNELS = ("bitmask", "reference")
 
 
 def get_routing_kernel() -> str:

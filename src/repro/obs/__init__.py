@@ -73,6 +73,7 @@ __all__ = [
     "on_admit",
     "on_block",
     "on_release",
+    "paused",
     "reset",
     "summary",
     "tracer",
@@ -138,6 +139,15 @@ def capture(
 ) -> Iterator[Capture]:
     """Enable observability for a ``with`` block and yield a :class:`Capture`.
 
+    The Monte-Carlo estimators (:func:`repro.api.blocking` /
+    :func:`repro.api.sweep`) run the lockstep engine of
+    :mod:`repro.perf.batch`, which records aggregate counters only
+    (``mc.cells``, ``net.admit.*``, ``net.block.cause.*``,
+    ``net.release``) and never per-event trace records.  A per-event
+    trace of random traffic comes from the serial network instead --
+    ``wdm-repro trace blocking`` drives
+    :func:`repro.analysis.montecarlo._traffic_cell` per seed.
+
     Args:
         sink: writable text stream to receive the JSONL trace; None
             (default) with no ``tracer`` means metrics only.
@@ -156,6 +166,22 @@ def capture(
             enable(previous[1])
         else:
             disable()
+
+
+@contextmanager
+def paused() -> Iterator[None]:
+    """Switch observability off for a ``with`` block, then restore it.
+
+    Work done inside records no metrics and no trace events -- how a
+    self-check replays a result without counting it twice.
+    """
+    previous = (_ENABLED, _TRACER)
+    disable()
+    try:
+        yield
+    finally:
+        if previous[0]:
+            enable(previous[1])
 
 
 def summary() -> dict[str, Any]:

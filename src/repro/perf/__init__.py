@@ -16,17 +16,16 @@ results metadata).
 corrupted-entry recovery, making repeated and interrupted sweeps
 incremental and resumable (``--cache`` on the CLI).
 
-The third piece is the routing/simulation kernel selection of
-:mod:`repro.multistage.routing`: :func:`routing_kernel` /
-:func:`set_routing_kernel` pick between the bitmask cover search (the
-default), the frozenset reference implementation (the correctness
-oracle of the equivalence tests and the ``bench_perf`` baseline), and
-``"batched"`` -- bitmask routing plus the lockstep
-structure-of-arrays Monte-Carlo engine of :mod:`repro.perf.batch`,
-which compiles each seed's traffic stream once and replays it against
+The third piece is the lockstep structure-of-arrays Monte-Carlo
+engine of :mod:`repro.perf.batch` -- the one route of the estimators:
+it compiles each seed's traffic stream once and replays it against
 every ``m`` value of a sweep in a single pass (common random numbers,
 batch-per-process work units, per-replication bit-identity with the
-serial simulator).
+serial simulator).  :func:`routing_kernel` / :func:`set_routing_kernel`
+(from :mod:`repro.multistage.routing`) pick the cover search of the
+serial routes: the bitmask kernel (the default) or the frozenset
+reference implementation (the correctness oracle of the equivalence
+tests and the ``bench_perf`` baseline).
 """
 
 from repro.multistage.routing import (

@@ -25,12 +25,11 @@ Three layers make the rounds cheap, low-variance and resumable:
   (:class:`repro.switching.generators.AntitheticRandom`), layered on
   the stream compiler so all kernels and backends inherit both;
 
-* **kernel reuse** -- rounds run through the existing cells: under
-  ``routing_kernel("batched")`` each round spec becomes one lockstep
+* **one engine** -- each round spec becomes one lockstep
   :func:`repro.perf.batch.simulate_batch` unit covering every
-  unconverged ``m`` (numba/python backends both apply), otherwise
-  one :func:`~repro.analysis.montecarlo._traffic_cell` unit per
-  ``(m, spec)`` -- bit-identical numbers either way;
+  unconverged ``m``, the same work unit the fixed-budget estimators
+  run (with the same ``debug_checks`` replay through the serial
+  network);
 
 * **resumable rounds** -- each completed round's ``(attempts,
   blocked)`` aggregate lands in the content-addressed
@@ -56,13 +55,12 @@ from repro import obs as _obs
 from repro.analysis.montecarlo import (
     AdaptiveInfo,
     BlockingEstimate,
-    _traffic_cell,
+    _batch_unit,
+    _verify_unit,
 )
 from repro.core.models import Construction, MulticastModel
 from repro.engine.fabrics import get_fabric
-from repro.multistage.routing import get_routing_kernel
 from repro.obs.meta import ResultMeta
-from repro.perf.batch import simulate_batch
 from repro.perf.sweeper import ParallelSweeper, SweepResult, WorkUnit
 from repro.workloads.keys import (
     fabric_fragment,
@@ -315,7 +313,6 @@ class _AdaptiveDriver:
         precision: PrecisionConfig,
         cache: "ResultCache | None",
         debug_checks: bool | None,
-        backend: str,
         workload: "WorkloadConfig | None" = None,
         fabric: str = "clos",
     ):
@@ -326,10 +323,8 @@ class _AdaptiveDriver:
         self.precision = precision
         self.cache = cache
         self.debug_checks = debug_checks
-        self.backend = backend
         self.workload = workload
         self.fabric = fabric
-        self.batched = get_routing_kernel() == "batched"
         self.key = stream_key(
             n, r, k, construction, model, x, steps, max_fanout, workload,
             fabric,
@@ -344,6 +339,7 @@ class _AdaptiveDriver:
         self._need: list[int] = []
         self._cached: dict[int, tuple[int, int]] = {}
         self._keys: dict[int, str] = {}
+        self._units: list[WorkUnit] = []
 
     # -- pooled estimate ----------------------------------------------------
 
@@ -382,16 +378,10 @@ class _AdaptiveDriver:
         """Merge one round's executed units with its cache hits."""
         round_totals = dict(self._cached)
         acc: dict[int, list[int]] = {m: [0, 0] for m in self._need}
-        if self.batched:
-            # One unit per spec, each covering every unconverged m.
-            for result in executed:
-                for m, (attempts, blocked) in result.value:
-                    acc[m][0] += attempts
-                    acc[m][1] += blocked
-        else:
-            for result in executed:
-                m, _ = result.unit_id
-                attempts, blocked = result.value
+        # One unit per spec, each covering every unconverged m.
+        for unit, result in zip(self._units, executed):
+            _verify_unit(unit, result.value, self.debug_checks)
+            for m, (attempts, blocked) in result.value:
                 acc[m][0] += attempts
                 acc[m][1] += blocked
         for m in self._need:
@@ -432,34 +422,16 @@ class _AdaptiveDriver:
                 # next round without dispatching anything.
                 self._finish_round(cached)
                 continue
-            if self.batched:
-                return [
-                    WorkUnit(
-                        unit_id=index,
-                        fn=simulate_batch,
-                        args=(
-                            self.n, self.r, self.k, self.construction,
-                            self.model, self.x, self.steps, self.max_fanout,
-                            spec.seed, tuple(need), self.backend,
-                            spec.antithetic, self.workload, self.fabric,
-                        ),
-                    )
-                    for index, spec in enumerate(specs)
-                ]
-            return [
-                WorkUnit(
-                    unit_id=(m, index),
-                    fn=_traffic_cell,
-                    args=(
-                        self.n, self.r, m, self.k, self.construction,
-                        self.model, self.x, self.steps, spec.seed,
-                        self.max_fanout, self.debug_checks, spec.antithetic,
-                        self.workload, self.fabric,
-                    ),
+            self._units = [
+                _batch_unit(
+                    index, self.n, self.r, self.k, self.construction,
+                    self.model, self.x, self.steps, self.max_fanout,
+                    spec.seed, tuple(need), spec.antithetic, self.workload,
+                    self.fabric,
                 )
-                for m in need
                 for index, spec in enumerate(specs)
             ]
+            return self._units
 
     def estimates(self, meta: ResultMeta) -> list[BlockingEstimate]:
         """The final pooled estimates, adaptive provenance attached."""
@@ -505,8 +477,6 @@ def adaptive_sweep(
     cache: "ResultCache | None" = None,
     executor: str = "process",
     debug_checks: bool | None = None,
-    batch: int | None = None,
-    backend: str = "auto",
     workload: "WorkloadConfig | None" = None,
     fabric: str = "clos",
 ) -> list[BlockingEstimate]:
@@ -526,20 +496,18 @@ def adaptive_sweep(
 
     ``jobs``/``executor`` parallelize each round through
     :class:`~repro.perf.sweeper.ParallelSweeper` (bit-identical for any
-    value); under ``routing_kernel("batched")`` the round's cells run
-    in lockstep through :func:`repro.perf.batch.simulate_batch` on
-    ``backend``.  ``batch`` is accepted for signature parity with the
-    fixed-budget path; round work units are already seed-granular, so
-    it has nothing left to slice.
+    value); each round spec's cells run in lockstep through
+    :func:`repro.perf.batch.simulate_batch`.  ``debug_checks`` replays
+    every freshly computed round cell through the serial network and
+    raises on any disagreement.
     """
-    del batch  # rounds are already seed-granular work units
     if steps < 1:
         raise ValueError(f"steps must be >= 1, got {steps}")
     if workload is not None:
         workload.validate_precision(precision, steps)
     driver = _AdaptiveDriver(
         n, r, k, list(m_values), construction, model, x, steps, max_fanout,
-        precision, cache, debug_checks, backend, workload, fabric,
+        precision, cache, debug_checks, workload, fabric,
     )
     with ParallelSweeper(jobs, executor=executor) as sweeper:
         sweeper.run_adaptive(driver.next_units)
@@ -563,8 +531,6 @@ def adaptive_blocking(
     cache: "ResultCache | None" = None,
     executor: str = "process",
     debug_checks: bool | None = None,
-    batch: int | None = None,
-    backend: str = "auto",
     workload: "WorkloadConfig | None" = None,
     fabric: str = "clos",
 ) -> BlockingEstimate:
@@ -578,6 +544,6 @@ def adaptive_blocking(
         n, r, k, [m],
         construction=construction, model=model, x=x, steps=steps,
         max_fanout=max_fanout, precision=precision, jobs=jobs, cache=cache,
-        executor=executor, debug_checks=debug_checks, batch=batch,
-        backend=backend, workload=workload, fabric=fabric,
+        executor=executor, debug_checks=debug_checks, workload=workload,
+        fabric=fabric,
     )[0]

@@ -1,11 +1,12 @@
-"""Lockstep structure-of-arrays Monte-Carlo engine (``batched`` kernel).
+"""Lockstep structure-of-arrays Monte-Carlo engine (the estimators' route).
 
 :func:`repro.analysis.montecarlo._traffic_cell` replays one traffic
 stream against one :class:`~repro.multistage.network.ThreeStageNetwork`;
-a sweep over ``m x seeds`` cells therefore pays the full per-event
+a sweep over ``m x seeds`` cells on it pays the full per-event
 Python overhead (object construction, admission validation, cache
 bookkeeping) once per cell.  This module removes that multiplier two
-ways:
+ways, and is therefore the one route of the Monte-Carlo estimators
+(``_traffic_cell`` stays as the serial oracle):
 
 * **common random numbers** -- the traffic stream depends only on
   ``(model, n*r, k, steps, seed, max_fanout)``, never on ``m``, so
@@ -43,10 +44,9 @@ compiled stream to int64 arrays (dest masks become ``[events, W]``
 word columns) and :meth:`~repro.engine.fused.FusedState.replay_ops`
 executes the whole replay in one ``@njit`` kernel -- same decisions,
 bit-identical counts and causes.
-The engine is wired in as ``routing_kernel("batched")``: single-request
-routing is untouched (identical to ``bitmask``), but the Monte-Carlo
-estimators dispatch whole seed-batches here instead of one cell at a
-time.
+:func:`repro.api.blocking` and :func:`repro.api.sweep` (fixed budget
+and precision-targeted alike) dispatch whole seed-batches here, on the
+backend ``resolve_backend("auto")`` picks.
 """
 
 from __future__ import annotations
@@ -471,8 +471,8 @@ def simulate_batch(
     """All of one seed's ``(m, (attempts, blocked))`` cells, in lockstep.
 
     This is the work-unit function the Monte-Carlo estimators hand to
-    :class:`repro.perf.ParallelSweeper` under the ``batched`` kernel
-    (batch-per-process instead of cell-per-process): module-level and
+    :class:`repro.perf.ParallelSweeper` (batch-per-process instead of
+    cell-per-process): module-level and
     picklable, and every returned cell is bit-identical to
     ``_traffic_cell`` run serially with the same arguments (including
     ``antithetic``, which swaps in the seed's mirrored stream, and

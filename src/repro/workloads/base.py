@@ -4,9 +4,9 @@ A *workload* is a deterministic traffic model: a frozen config
 dataclass whose :meth:`WorkloadConfig.events` turns one replication's
 RNG stream into the :class:`repro.switching.generators.TrafficEvent`
 sequence that every consumer -- the serial simulator, the stream
-compiler behind the batched kernel, the adaptive round driver --
+compiler behind the lockstep engine, the adaptive round driver --
 already speaks.  Because the contract is the event stream (not the
-generator), a registered workload inherits all three routing kernels,
+generator), a registered workload inherits both routing kernels,
 every state backend, common random numbers across ``m``, antithetic
 pairing and the content-addressed caches without those layers knowing
 it exists.
@@ -14,8 +14,8 @@ it exists.
 Two invariants keep the existing golden values intact:
 
 * the base fields (``steps``/``seeds``/``max_fanout``/``adversarial``/
-  ``adversary_seeds``) are exactly the legacy ``TrafficConfig``
-  surface, so the uniform member of the family is a drop-in;
+  ``adversary_seeds``) are exactly the pre-registry uniform traffic
+  config's surface, so the uniform member of the family is a drop-in;
 * :meth:`WorkloadConfig.token` is the workload's cache/stream-key
   identity.  Uniform traffic returns ``None`` -- it contributes
   nothing, so keys, warm caches and adaptive schedules predating the
@@ -106,8 +106,8 @@ class WorkloadConfig:
         :func:`repro.workloads.keys.stream_rng` stream threaded
         end-to-end), and every prefix of the yielded sequence must keep
         the active set a legal multicast assignment under ``model`` --
-        the guaranteed-legality contract that lets the batched kernel's
-        replay skip admission validation.
+        the guaranteed-legality contract that lets the lockstep
+        engine's replay skip admission validation.
         """
         raise NotImplementedError
 

@@ -7,11 +7,9 @@ import math
 
 import pytest
 
-from repro.analysis.montecarlo import (
-    BlockingEstimate,
-    blocking_probability,
-    blocking_vs_m,
-)
+from repro import api
+from repro.analysis.montecarlo import BlockingEstimate
+from repro.analysis.rendering import format_probability
 from repro.core.models import Construction, MulticastModel
 from repro.core.multistage import min_middle_switches_msw_dominant
 
@@ -19,35 +17,53 @@ from repro.core.multistage import min_middle_switches_msw_dominant
 class TestBlockingProbability:
     def test_zero_at_the_bound(self):
         m = min_middle_switches_msw_dominant(3, 3, 1, x=1)
-        estimate = blocking_probability(3, 3, m, 1, x=1, steps=600, seeds=(0, 1))
+        estimate = api.blocking(
+            3, 3, m, 1, x=1, traffic=api.UniformConfig(steps=600, seeds=(0, 1))
+        )
         assert estimate.blocked == 0
         assert estimate.attempts > 100
 
     def test_positive_when_starved(self):
-        estimate = blocking_probability(3, 3, 1, 1, x=1, steps=600, seeds=(0, 1))
+        estimate = api.blocking(
+            3, 3, 1, 1, x=1, traffic=api.UniformConfig(steps=600, seeds=(0, 1))
+        )
         assert estimate.probability > 0.0
 
     def test_probability_field(self):
-        estimate = blocking_probability(2, 2, 1, 1, x=1, steps=200, seeds=(0,))
+        estimate = api.blocking(
+            2, 2, 1, 1, x=1, traffic=api.UniformConfig(steps=200, seeds=(0,))
+        )
         assert 0.0 <= estimate.probability <= 1.0
 
     def test_deterministic_given_seeds(self):
-        a = blocking_probability(3, 3, 2, 1, x=1, steps=300, seeds=(5,))
-        b = blocking_probability(3, 3, 2, 1, x=1, steps=300, seeds=(5,))
+        traffic = api.UniformConfig(steps=300, seeds=(5,))
+        a = api.blocking(3, 3, 2, 1, x=1, traffic=traffic)
+        b = api.blocking(3, 3, 2, 1, x=1, traffic=traffic)
         assert (a.attempts, a.blocked) == (b.attempts, b.blocked)
 
     def test_dropped_connections_do_not_poison_state(self):
         """After a blocked setup, the simulation must keep running and the
         totals must stay consistent."""
-        estimate = blocking_probability(2, 2, 1, 1, x=1, steps=800, seeds=(3,))
+        estimate = api.blocking(
+            2, 2, 1, 1, x=1, traffic=api.UniformConfig(steps=800, seeds=(3,))
+        )
         assert estimate.attempts >= estimate.blocked > 0
+
+    def test_zero_attempts_report_no_probability(self):
+        """No seeds, no attempts: the probability is undefined, not 0."""
+        estimate = api.blocking(2, 2, 2, 1, traffic=api.UniformConfig(seeds=()))
+        assert (estimate.attempts, estimate.blocked) == (0, 0)
+        assert math.isnan(estimate.probability)
+        assert format_probability(estimate.probability) == "n/a"
+        assert format_probability(0.0) == "0.0000"
 
 
 class TestBlockingVsM:
     def test_monotone_trend_and_zero_tail(self):
         bound = min_middle_switches_msw_dominant(3, 3, 1, x=1)
-        estimates = blocking_vs_m(
-            3, 3, 1, list(range(1, bound + 1)), x=1, steps=500, seeds=(0, 1)
+        estimates = api.sweep(
+            3, 3, 1, list(range(1, bound + 1)), x=1,
+            traffic=api.UniformConfig(steps=500, seeds=(0, 1)),
         )
         probabilities = [estimate.probability for estimate in estimates]
         # Starved end blocks, provisioned end does not.
@@ -58,16 +74,11 @@ class TestBlockingVsM:
         assert sum(probabilities[:half]) >= sum(probabilities[half:])
 
     def test_adversarial_mode_marks_witnessed_points(self):
-        estimates = blocking_vs_m(
-            3,
-            3,
-            1,
-            [4],
-            x=1,
-            steps=200,
-            seeds=(0,),
-            adversarial=True,
-            adversary_seeds=30,
+        estimates = api.sweep(
+            3, 3, 1, [4], x=1,
+            traffic=api.UniformConfig(
+                steps=200, seeds=(0,), adversarial=True, adversary_seeds=30
+            ),
         )
         # At m=4 random traffic rarely blocks but the adversary finds a
         # witness (demonstrated in test_adversary); either way the field
@@ -76,16 +87,12 @@ class TestBlockingVsM:
         assert estimate.blocked in (0, 1) or estimate.blocked > 1
 
     def test_respects_configuration(self):
-        estimates = blocking_vs_m(
-            2,
-            2,
-            2,
-            [1, 4],
+        estimates = api.sweep(
+            2, 2, 2, [1, 4],
             model=MulticastModel.MAW,
             construction=Construction.MAW_DOMINANT,
             x=1,
-            steps=200,
-            seeds=(0,),
+            traffic=api.UniformConfig(steps=200, seeds=(0,)),
         )
         assert [e.m for e in estimates] == [1, 4]
         assert all(e.model is MulticastModel.MAW for e in estimates)
@@ -130,6 +137,7 @@ class TestIntervalStatistics:
         estimate = _estimate(0, 0)
         assert estimate.ci() == (0.0, 1.0)
         assert estimate.half_width() == math.inf
+        assert math.isnan(estimate.probability)
 
     def test_merged_pools_counts(self):
         merged = _estimate(300, 30).merged(_estimate(200, 10))

@@ -1,10 +1,9 @@
 """Adversary-seed derivation: keyed by the whole configuration.
 
-The legacy ``blocking_vs_m`` reseeded the adversary from ``m`` alone,
-so every configuration sharing an ``m`` value replayed the identical
-adversary stream.  The facade mixes a traffic key (topology,
-construction, model, x) into the derivation; the deprecated shim keeps
-the old schedule so golden values stay reproducible.
+An adversary reseeded from ``m`` alone would replay the identical
+stream for every configuration sharing an ``m`` value.  The schedule
+mixes a traffic key (topology, construction, model, x) into the
+derivation instead.
 """
 
 from __future__ import annotations
@@ -23,16 +22,6 @@ KEY_B = _adversary_traffic_key(
     4, 2, 2, Construction.MSW_DOMINANT, MulticastModel.MSW, 1)
 
 
-class TestLegacySchedule:
-    def test_m_only_reseeding_is_preserved(self):
-        rng = random.Random(5)
-        assert _adversary_seeds(5, 8) == [rng.randrange(10**9) for _ in range(8)]
-
-    def test_legacy_streams_collide_across_configs(self):
-        """The defect the fix addresses: only ``m`` matters."""
-        assert _adversary_seeds(5, 8) == _adversary_seeds(5, 8, None)
-
-
 class TestKeyedSchedule:
     def test_deterministic_for_a_fixed_key(self):
         assert _adversary_seeds(5, 8, KEY_A) == _adversary_seeds(5, 8, KEY_A)
@@ -41,7 +30,10 @@ class TestKeyedSchedule:
         assert _adversary_seeds(5, 8, KEY_A) != _adversary_seeds(5, 8, KEY_B)
 
     def test_differs_from_legacy_schedule(self):
-        assert _adversary_seeds(5, 8, KEY_A) != _adversary_seeds(5, 8)
+        """Never the ``m``-only derivation the keyed schedule replaced."""
+        m_only = random.Random(5)
+        legacy = [m_only.randrange(10**9) for _ in range(8)]
+        assert _adversary_seeds(5, 8, KEY_A) != legacy
 
     def test_still_varies_with_m(self):
         assert _adversary_seeds(4, 8, KEY_A) != _adversary_seeds(5, 8, KEY_A)

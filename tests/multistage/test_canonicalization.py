@@ -11,8 +11,9 @@ from __future__ import annotations
 
 import pytest
 
+from repro import api
 from repro.core.models import Construction, MulticastModel
-from repro.multistage.exhaustive import exact_minimal_m, is_blockable
+from repro.multistage.exhaustive import is_blockable
 from repro.multistage.network import ThreeStageNetwork
 from repro.switching.requests import Endpoint, MulticastConnection
 
@@ -99,8 +100,10 @@ class TestVerdictEquivalence:
         assert net.blocks == 1
 
     def test_exact_minimal_m_matches_reference(self):
-        canonical = exact_minimal_m(2, 2, 1, x=1, m_max=6, canonicalize=True)
-        reference = exact_minimal_m(2, 2, 1, x=1, m_max=6, canonicalize=False)
+        canonical = api.exact_m(2, 2, 1, x=1, m_max=6)
+        reference = api.exact_m(
+            2, 2, 1, x=1, m_max=6, search=api.SearchConfig(canonicalize=False)
+        )
         assert canonical.m_exact == reference.m_exact == 3
         assert [p.blockable for p in canonical.per_m] == [
             p.blockable for p in reference.per_m
@@ -108,8 +111,9 @@ class TestVerdictEquivalence:
 
     def test_unicast_clos_threshold(self):
         """Canonicalized unicast search recovers the Clos 2n-1 threshold."""
-        result = exact_minimal_m(
-            2, 3, 1, x=1, m_max=5, unicast_only=True, canonicalize=True
+        result = api.exact_m(
+            2, 3, 1, x=1, m_max=5, unicast_only=True,
+            search=api.SearchConfig(canonicalize=True),
         )
         assert result.m_exact == 3
 
@@ -129,8 +133,10 @@ class TestVerdictEquivalence:
 
 class TestParallelScan:
     def test_jobs_do_not_change_the_scan(self):
-        serial = exact_minimal_m(2, 2, 1, x=1, m_max=6, jobs=1)
-        parallel = exact_minimal_m(2, 2, 1, x=1, m_max=6, jobs=2)
+        serial = api.exact_m(2, 2, 1, x=1, m_max=6)
+        parallel = api.exact_m(
+            2, 2, 1, x=1, m_max=6, execution=api.ExecConfig(jobs=2)
+        )
         assert parallel.m_exact == serial.m_exact
         assert [p.m for p in parallel.per_m] == [p.m for p in serial.per_m]
         assert [p.blockable for p in parallel.per_m] == [

@@ -4,21 +4,22 @@ from __future__ import annotations
 
 import pytest
 
+from repro import api
 from repro.core.models import Construction, MulticastModel
 from repro.core.multistage import min_middle_switches_msw_dominant
-from repro.multistage.exhaustive import exact_minimal_m, is_blockable
+from repro.multistage.exhaustive import is_blockable
 
 
 class TestSmallestNetwork:
     """v(2, 2, m, 1), x = 1: fully decidable in well under a second."""
 
     def test_exact_threshold_is_three(self):
-        result = exact_minimal_m(2, 2, 1, x=1, m_max=6)
+        result = api.exact_m(2, 2, 1, x=1, m_max=6)
         assert result.m_exact == 3
 
     def test_paper_bound_has_one_unit_of_slack(self):
         """Theorem 1 demands m >= 4 here; the true threshold is 3."""
-        exact = exact_minimal_m(2, 2, 1, x=1, m_max=6).m_exact
+        exact = api.exact_m(2, 2, 1, x=1, m_max=6).m_exact
         paper = min_middle_switches_msw_dominant(2, 2, 1, x=1)
         assert exact == paper - 1
 
@@ -54,7 +55,7 @@ class TestBudget:
         assert result.states_explored >= 50
 
     def test_scan_stops_on_unknown(self):
-        result = exact_minimal_m(2, 3, 1, x=1, m_max=6, state_budget=50)
+        result = api.exact_m(2, 3, 1, x=1, m_max=6, state_budget=50)
         assert result.m_exact is None
 
 

@@ -50,6 +50,24 @@ class TestRegistry:
         assert count == 1 and total >= 0.0
 
 
+class TestPaused:
+    def test_paused_records_nothing_then_restores(self):
+        tracer = obs.Tracer()
+        with obs.capture(tracer=tracer) as run:
+            with obs.paused():
+                assert not obs.enabled() and obs.tracer() is None
+                obs.inc("hidden")
+            assert obs.enabled() and obs.tracer() is tracer
+            obs.inc("seen")
+        assert run.metrics.snapshot()["counters"] == {"seen": 1}
+
+    def test_paused_while_off_stays_off(self):
+        assert not obs.enabled()
+        with obs.paused():
+            pass
+        assert not obs.enabled()
+
+
 class TestMergeSnapshots:
     def test_merges_many_worker_snapshots(self):
         snapshots = []
@@ -112,7 +130,8 @@ class TestCrossProcessAggregation:
         assert keys, "expected simulator counters in the serial run"
         for key in keys:
             assert pooled.get(key) == serial[key], key
-        assert pooled["sweep.units"] == serial["sweep.units"] == 4
+        # One lockstep unit per seed, each covering both m values.
+        assert pooled["sweep.units"] == serial["sweep.units"] == 2
 
     def test_admission_counters_are_consistent(self, two_cpus):
         counters = self._counters(2)

@@ -91,4 +91,5 @@ class TestSharedEnvelopeOnResults:
             traffic=api.UniformConfig(steps=60, seeds=(0,)))
         plans = {e.meta.plan_json for e in estimates}
         assert len(plans) == 1
-        assert estimates[0].meta.plan["units"] == 2
+        # One lockstep unit per seed, covering both m values.
+        assert estimates[0].meta.plan["units"] == 1

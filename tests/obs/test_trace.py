@@ -8,6 +8,7 @@ import json
 import pytest
 
 from repro import api, obs
+from repro.analysis.montecarlo import _traffic_cell
 from repro.core.models import Construction, MulticastModel
 from repro.multistage.network import BlockedError, ThreeStageNetwork
 from repro.obs.trace import CAUSE_KINDS, TRACE_SCHEMA, Tracer, validate_record
@@ -112,13 +113,22 @@ class TestNetworkEmitsTrace:
         assert summary["causes"] == {"saturated_wavelength": 1}
 
     def test_monte_carlo_trace_blocked_matches_estimate(self):
-        """The trace's blocked total IS the blocking-probability numerator."""
+        """The trace's blocked total IS the blocking-probability numerator.
+
+        The lockstep estimator records counters, not events, so the
+        trace comes from the serial network replaying each seed.
+        """
         tracer = Tracer()
         with obs.capture(tracer=tracer):
-            estimate = api.blocking(
-                2, 2, 2, 1, x=1,
-                traffic=api.UniformConfig(steps=150, seeds=(0, 1)),
-            )
-        assert tracer.blocked == estimate.blocked
+            for seed in (0, 1):
+                _traffic_cell(
+                    2, 2, 2, 1, Construction.MSW_DOMINANT,
+                    MulticastModel.MSW, 1, 150, seed, None,
+                )
+        estimate = api.blocking(
+            2, 2, 2, 1, x=1,
+            traffic=api.UniformConfig(steps=150, seeds=(0, 1)),
+        )
+        assert tracer.blocked == estimate.blocked > 0
         assert tracer.admitted + tracer.blocked == estimate.attempts
         assert sum(tracer.cause_counts.values()) == estimate.blocked

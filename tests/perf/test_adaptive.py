@@ -6,9 +6,8 @@ import math
 
 import pytest
 
-from repro.analysis.montecarlo import AdaptiveInfo, BlockingEstimate
+from repro.analysis.montecarlo import AdaptiveInfo, BlockingEstimate, _traffic_cell
 from repro.core.models import Construction, MulticastModel
-from repro.multistage.routing import routing_kernel
 from repro.perf.adaptive import (
     PrecisionConfig,
     adaptive_blocking,
@@ -220,10 +219,34 @@ class TestAdaptiveSweep:
         assert not estimate.adaptive.converged
 
     def test_batched_kernel_bit_identical_to_serial(self):
-        serial = adaptive_sweep(3, 3, 2, [1, 2, 3], precision=QUICK, **CONFIG)
-        with routing_kernel("batched"):
-            batched = adaptive_sweep(3, 3, 2, [1, 2, 3], precision=QUICK, **CONFIG)
-        assert _identity(batched) == _identity(serial)
+        """Each cell's pooled rounds equal per-spec serial-network replays.
+
+        The adaptive driver replays every round in lockstep; the second
+        leg re-derives the same round schedule and sums
+        :func:`_traffic_cell` over each round spec the cell ran.
+        """
+        batched = adaptive_sweep(3, 3, 2, [1, 2, 3], precision=QUICK, **CONFIG)
+        key = stream_key(
+            3, 3, 2, CONFIG["construction"], CONFIG["model"], 1,
+            CONFIG["steps"], None,
+        )
+        serial = []
+        for estimate in batched:
+            cells = [
+                _traffic_cell(
+                    3, 3, estimate.m, 2, CONFIG["construction"],
+                    CONFIG["model"], 1, CONFIG["steps"], spec.seed, None,
+                    antithetic=spec.antithetic,
+                )
+                for index in range(estimate.adaptive.rounds)
+                for spec in round_specs(key, index, QUICK)
+            ]
+            serial.append((
+                estimate.m,
+                sum(c[0] for c in cells),
+                sum(c[1] for c in cells),
+            ))
+        assert _identity(batched) == serial
 
     def test_parallel_bit_identical_to_serial(self):
         serial = adaptive_sweep(3, 3, 2, [1, 2], precision=QUICK, **CONFIG)

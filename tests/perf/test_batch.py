@@ -1,10 +1,10 @@
 """Equivalence and property tests for the lockstep batch engine.
 
-The ``batched`` kernel's whole contract is *bit-identity*: every
-``(m, seed)`` cell it produces -- counts, causes, cache entries, obs
-counters -- must equal the serial bitmask simulator's.  These tests
-pin that contract on randomized configurations and on both state
-backends.
+The engine is the one route of the Monte-Carlo estimators, and its
+whole contract is *bit-identity*: every ``(m, seed)`` cell it produces
+-- counts, causes, cache entries, obs counters -- must equal the serial
+bitmask simulator's.  These tests pin that contract on randomized
+configurations and on both state backends.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ from repro.core.models import Construction, MulticastModel
 from repro.core.multistage import valid_x_range
 from repro.engine.fused import FUSED_ENV, NUMBA_AVAILABLE
 from repro.multistage.network import ThreeStageNetwork
-from repro.multistage.routing import routing_kernel
 from repro.perf.batch import (
     BACKEND_ENV,
     available_backends,
@@ -290,121 +289,115 @@ class TestBackendResolution:
 
 
 class TestApiIntegration:
+    """The front door against the per-cell serial oracle.
+
+    ``api.blocking``/``api.sweep`` always replay in lockstep; the second
+    leg of each identity is the sum of :func:`_traffic_cell` replays on
+    the serial network (plus, for the adversarial curve, the literal
+    counts both routes produced before the serial route was retired).
+    """
+
     TRAFFIC = api.UniformConfig(steps=200, seeds=(0, 1, 2))
 
-    def sweep(self, kernel, **kwargs):
+    def sweep(self, **kwargs):
         return api.sweep(
-            3, 3, 2, [1, 2, 3, 4],
-            traffic=self.TRAFFIC,
-            search=api.SearchConfig(kernel=kernel),
-            **kwargs,
+            3, 3, 2, [1, 2, 3, 4], traffic=self.TRAFFIC, **kwargs
         )
+
+    @staticmethod
+    def serial(n, r, m, k, x=1, steps=200, seeds=(0, 1, 2)):
+        cells = [
+            _traffic_cell(
+                n, r, m, k, Construction.MSW_DOMINANT, MulticastModel.MSW,
+                x, steps, seed, None,
+            )
+            for seed in seeds
+        ]
+        return sum(c[0] for c in cells), sum(c[1] for c in cells)
 
     def test_sweep_matches_bitmask(self):
-        bitmask = self.sweep("bitmask")
-        batched = self.sweep("batched")
-        assert [
-            (e.m, e.attempts, e.blocked) for e in bitmask
-        ] == [(e.m, e.attempts, e.blocked) for e in batched]
-
-    def test_batch_cap_never_changes_results(self):
-        uncapped = self.sweep("batched")
-        for cap in (1, 2, 16):
-            capped = self.sweep(
-                "batched", execution=api.ExecConfig(batch=cap)
-            )
-            assert capped == uncapped
+        assert [(e.m, e.attempts, e.blocked) for e in self.sweep()] == [
+            (m, *self.serial(3, 3, m, 2)) for m in (1, 2, 3, 4)
+        ]
 
     def test_blocking_matches_bitmask(self):
-        bitmask = api.blocking(
-            3, 4, 3, 2, x=2, traffic=self.TRAFFIC,
-            search=api.SearchConfig(kernel="bitmask"),
+        estimate = api.blocking(3, 4, 3, 2, x=2, traffic=self.TRAFFIC)
+        assert (estimate.attempts, estimate.blocked) == self.serial(
+            3, 4, 3, 2, x=2
         )
-        batched = api.blocking(
-            3, 4, 3, 2, x=2, traffic=self.TRAFFIC,
-            search=api.SearchConfig(kernel="batched"),
-        )
-        assert (bitmask.attempts, bitmask.blocked) == (
-            batched.attempts, batched.blocked,
-        )
-        assert batched.meta is not None and batched.meta.kernel == "batched"
+        assert estimate.meta is not None and estimate.meta.kernel == "bitmask"
 
     def test_adversarial_sweep_matches_bitmask(self):
         traffic = api.UniformConfig(steps=150, seeds=(0, 1), adversarial=True)
-        bitmask = api.sweep(
-            2, 2, 1, [2, 3, 4], traffic=traffic,
-            search=api.SearchConfig(kernel="bitmask"),
-        )
-        batched = api.sweep(
-            2, 2, 1, [2, 3, 4], traffic=traffic,
-            search=api.SearchConfig(kernel="batched"),
-        )
-        assert [(e.attempts, e.blocked) for e in bitmask] == [
-            (e.attempts, e.blocked) for e in batched
+        curve = api.sweep(2, 2, 1, [2, 3, 4], traffic=traffic)
+        counts = [(e.m, e.attempts, e.blocked) for e in curve]
+        assert counts == [(2, 151, 6), (3, 151, 0), (4, 151, 0)]
+        # No adversary witness at m = 3, 4: the curve is random traffic's.
+        assert counts == [
+            (m, *self.serial(2, 2, m, 1, steps=150, seeds=(0, 1)))
+            for m in (2, 3, 4)
         ]
 
     def test_obs_counters_merge_to_serial_totals(self):
-        """The acceptance contract: batched counters == serial bitmask's.
+        """The acceptance contract: lockstep counters == the serial network's.
 
         Compared over the simulation namespaces (``mc.*``, ``net.*``);
         the orchestration counters (``sweep.*``) legitimately differ --
         a batch is one work unit where serial runs one per cell.
         """
 
-        def counters(kernel):
-            with obs.capture() as run:
-                self.sweep(kernel)
+        def simulation(run):
             return {
                 name: value
                 for name, value in run.metrics.snapshot()["counters"].items()
                 if name.startswith(("mc.", "net."))
             }
 
-        serial = counters("bitmask")
-        batched = counters("batched")
-        assert batched == serial
-        assert batched["mc.cells"] == 12  # 4 m-values x 3 seeds
-        assert batched["net.admit.blocked"] > 0
-        assert any(name.startswith("net.block.cause.") for name in batched)
+        with obs.capture() as run:
+            self.sweep()
+        lockstep = simulation(run)
+        with obs.capture() as run:
+            for m in (1, 2, 3, 4):
+                self.serial(3, 3, m, 2)
+        assert lockstep == simulation(run)
+        assert lockstep["mc.cells"] == 12  # 4 m-values x 3 seeds
+        assert lockstep["net.admit.blocked"] > 0
+        assert any(name.startswith("net.block.cause.") for name in lockstep)
 
 
 class TestCacheIntegration:
     CONFIG = dict(steps=150, seeds=(0, 1))
 
-    def sweep(self, kernel, cache_dir, batch=None):
+    def sweep(self, cache_dir, kernel=None):
         return api.sweep(
             2, 2, 1, [1, 2, 3],
             traffic=api.UniformConfig(**self.CONFIG),
-            execution=api.ExecConfig(cache_dir=str(cache_dir), batch=batch),
+            execution=api.ExecConfig(cache_dir=str(cache_dir)),
             search=api.SearchConfig(kernel=kernel),
         )
 
     def test_batched_sweep_is_cached_per_cell(self, tmp_path):
-        cold = self.sweep("batched", tmp_path)
+        cold = self.sweep(tmp_path)
         cache = ResultCache(tmp_path)
         assert len(cache) == 6  # 3 m-values x 2 seeds, one entry each
-        warm = self.sweep("batched", tmp_path)
+        warm = self.sweep(tmp_path)
         assert warm == cold
-        # A second run served every cell from the cache: sliced work
-        # units see nothing left to simulate either.
-        resliced = self.sweep("batched", tmp_path, batch=1)
-        assert resliced == cold
 
     def test_kernel_tag_keeps_pipelines_separate(self, tmp_path):
-        self.sweep("bitmask", tmp_path)
+        self.sweep(tmp_path, "bitmask")
         entries_after_bitmask = len(ResultCache(tmp_path))
-        self.sweep("batched", tmp_path)
-        # The batched run cannot alias the bitmask entries (kernel is
-        # part of every key), so it stores its own.
+        self.sweep(tmp_path, "reference")
+        # The reference-kernel run cannot alias the bitmask entries
+        # (kernel is part of every key), so it stores its own.
         assert len(ResultCache(tmp_path)) == 2 * entries_after_bitmask
 
     def test_partially_warm_batched_sweep(self, tmp_path):
-        full = self.sweep("batched", tmp_path)
+        full = self.sweep(tmp_path)
         cache = ResultCache(tmp_path)
         victims = sorted(cache.directory.glob("*.pkl"))[::2]
         for path in victims:
             path.unlink()
-        resumed = self.sweep("batched", tmp_path)
+        resumed = self.sweep(tmp_path)
         assert resumed == full
 
 

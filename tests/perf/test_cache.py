@@ -8,9 +8,9 @@ from concurrent.futures import ProcessPoolExecutor
 
 import pytest
 
-from repro.analysis.montecarlo import blocking_probability, blocking_vs_m
+from repro import api, obs
+from repro.analysis.montecarlo import _blocking_vs_m_impl
 from repro.core.models import Construction, MulticastModel
-from repro.multistage.exhaustive import exact_minimal_m
 from repro.multistage.routing import routing_kernel
 from repro.perf.cache import CODE_VERSION, ResultCache
 
@@ -220,8 +220,12 @@ class TestBoundedGrowth:
     def test_bounded_sweep_stays_correct(self, tmp_path):
         config = dict(steps=120, seeds=(0, 1))
         cache = ResultCache(tmp_path, max_bytes=64)  # roughly one entry
-        bounded = blocking_vs_m(2, 2, 1, [1, 2, 3], cache=cache, **config)
-        nocache = blocking_vs_m(2, 2, 1, [1, 2, 3], **config)
+        # The facade opens unbounded caches; a bounded one goes through
+        # the engine underneath it.
+        bounded = _blocking_vs_m_impl(2, 2, 1, [1, 2, 3], cache=cache, **config)
+        nocache = api.sweep(
+            2, 2, 1, [1, 2, 3], traffic=api.UniformConfig(**config)
+        )
         assert bounded == nocache
         assert cache.stats.evictions > 0
         assert cache.total_bytes() <= 64
@@ -295,54 +299,79 @@ class TestConcurrentWriters:
 class TestSweepIntegration:
     CONFIG = dict(steps=120, seeds=(0, 1))
 
+    @staticmethod
+    def counted(call, **execution):
+        """``(result, cache counters)`` of one facade call."""
+        with obs.capture() as run:
+            result = call(api.ExecConfig(**execution))
+        counters = run.metrics.snapshot()["counters"]
+        return result, {
+            name: counters.get(f"cache.{name}", 0)
+            for name in ("hits", "misses", "stores")
+        }
+
+    def blocking(self, cache=None, **execution):
+        cache_dir = None if cache is None else str(cache.directory)
+        return self.counted(
+            lambda e: api.blocking(
+                2, 2, 2, 1, traffic=api.UniformConfig(**self.CONFIG),
+                execution=e,
+            ),
+            cache_dir=cache_dir, **execution,
+        )
+
+    def sweep(self, m_values, cache=None, traffic=None, **execution):
+        cache_dir = None if cache is None else str(cache.directory)
+        traffic = traffic or api.UniformConfig(**self.CONFIG)
+        return self.counted(
+            lambda e: api.sweep(2, 2, 1, m_values, traffic=traffic, execution=e),
+            cache_dir=cache_dir, **execution,
+        )
+
     def test_blocking_probability_warm_equals_cold(self, cache):
-        cold = blocking_probability(2, 2, 2, 1, cache=cache, **self.CONFIG)
-        stored = cache.stats.stores
-        warm = blocking_probability(2, 2, 2, 1, cache=cache, **self.CONFIG)
-        nocache = blocking_probability(2, 2, 2, 1, **self.CONFIG)
+        cold, first = self.blocking(cache)
+        warm, second = self.blocking(cache)
+        nocache, _ = self.blocking()
         assert warm == cold == nocache
-        assert stored == len(self.CONFIG["seeds"])
-        assert cache.stats.hits == len(self.CONFIG["seeds"])
+        assert first["stores"] == len(self.CONFIG["seeds"])
+        assert second["hits"] == len(self.CONFIG["seeds"])
 
     def test_blocking_vs_m_resumed_sweep(self, cache):
         m_values = [1, 2, 3]
-        full = blocking_vs_m(2, 2, 1, m_values, cache=cache, **self.CONFIG)
+        full, _ = self.sweep(m_values, cache)
         # Simulate an interrupted sweep: drop a third of the entries.
         entries = sorted(cache.directory.glob("*.pkl"))
         for path in entries[:: 3]:
             path.unlink()
-        resumed = blocking_vs_m(2, 2, 1, m_values, cache=cache, **self.CONFIG)
-        nocache = blocking_vs_m(2, 2, 1, m_values, **self.CONFIG)
+        resumed, counters = self.sweep(m_values, cache)
+        nocache, _ = self.sweep(m_values)
         assert resumed == full == nocache
+        assert counters["stores"] == len(entries[:: 3])
 
     def test_adversarial_curve_cached(self, cache):
-        m_values = [3, 4]
-        kwargs = dict(adversarial=True, adversary_seeds=3, **self.CONFIG)
-        cold = blocking_vs_m(2, 2, 1, m_values, cache=cache, **kwargs)
-        warm = blocking_vs_m(2, 2, 1, m_values, cache=cache, **kwargs)
+        traffic = api.UniformConfig(
+            adversarial=True, adversary_seeds=3, **self.CONFIG
+        )
+        cold, _ = self.sweep([3, 4], cache, traffic)
+        warm, _ = self.sweep([3, 4], cache, traffic)
         assert warm == cold
 
     def test_exact_minimal_m_cached(self, cache):
-        cold = exact_minimal_m(2, 2, 1, x=1, m_max=6, cache=cache)
-        stored = cache.stats.stores
-        warm = exact_minimal_m(2, 2, 1, x=1, m_max=6, cache=cache)
-        assert stored == 3  # m = 1, 2, 3 -- the scan stops at the threshold
+        exact = lambda e: api.exact_m(2, 2, 1, x=1, m_max=6, execution=e)  # noqa: E731
+        cold, first = self.counted(exact, cache_dir=str(cache.directory))
+        warm, _ = self.counted(exact, cache_dir=str(cache.directory))
+        assert first["stores"] == 3  # m = 1, 2, 3 -- the scan stops at the threshold
         assert warm.m_exact == cold.m_exact == 3
         assert [p.blockable for p in warm.per_m] == [
             p.blockable for p in cold.per_m
         ]
 
     def test_parallel_sweep_shares_the_cache(self, cache):
-        serial = blocking_vs_m(
-            2, 2, 1, [1, 2], jobs=1, cache=cache, **self.CONFIG
-        )
-        hits_before = cache.stats.hits
-        parallel = blocking_vs_m(
-            2, 2, 1, [1, 2], jobs=2, cache=cache, **self.CONFIG
-        )
+        serial, _ = self.sweep([1, 2], cache, jobs=1)
+        parallel, counters = self.sweep([1, 2], cache, jobs=2)
         assert parallel == serial
         # Every cell of the second run came from the cache.
-        assert cache.stats.hits - hits_before == 2 * len(self.CONFIG["seeds"])
+        assert counters["hits"] == 2 * len(self.CONFIG["seeds"])
 
 
 # -- semantic fingerprint ----------------------------------------------------

@@ -7,8 +7,9 @@ so the assertions here compare full result structures for equality.
 
 from __future__ import annotations
 
-from repro.analysis.montecarlo import blocking_probability, blocking_vs_m
-from repro.multistage.exhaustive import exact_minimal_m
+from repro import api
+
+PARALLEL = api.ExecConfig(jobs=2)
 
 
 def _key(estimates):
@@ -17,9 +18,10 @@ def _key(estimates):
 
 class TestBlockingProbabilityDeterminism:
     def test_jobs_do_not_change_the_estimate(self):
-        serial = blocking_probability(3, 3, 2, 1, x=1, steps=300, seeds=(0, 1, 2))
-        parallel = blocking_probability(
-            3, 3, 2, 1, x=1, steps=300, seeds=(0, 1, 2), jobs=2
+        traffic = api.UniformConfig(steps=300, seeds=(0, 1, 2))
+        serial = api.blocking(3, 3, 2, 1, x=1, traffic=traffic)
+        parallel = api.blocking(
+            3, 3, 2, 1, x=1, traffic=traffic, execution=PARALLEL
         )
         assert (serial.attempts, serial.blocked) == (
             parallel.attempts,
@@ -29,9 +31,13 @@ class TestBlockingProbabilityDeterminism:
     def test_each_seed_owns_one_stream(self):
         """Pooled totals equal the sum of single-seed runs: the per-seed
         streams are independent, so pooling is pure addition."""
-        pooled = blocking_probability(3, 3, 2, 1, x=1, steps=300, seeds=(4, 5))
+        pooled = api.blocking(
+            3, 3, 2, 1, x=1, traffic=api.UniformConfig(steps=300, seeds=(4, 5))
+        )
         singles = [
-            blocking_probability(3, 3, 2, 1, x=1, steps=300, seeds=(s,))
+            api.blocking(
+                3, 3, 2, 1, x=1, traffic=api.UniformConfig(steps=300, seeds=(s,))
+            )
             for s in (4, 5)
         ]
         assert pooled.attempts == sum(e.attempts for e in singles)
@@ -41,21 +47,26 @@ class TestBlockingProbabilityDeterminism:
 class TestBlockingVsMEquivalence:
     def test_serial_vs_parallel_curve(self):
         args = (3, 3, 1, [1, 2, 3, 4])
-        kwargs = dict(x=1, steps=300, seeds=(0, 1))
-        assert _key(blocking_vs_m(*args, **kwargs)) == _key(
-            blocking_vs_m(*args, jobs=2, **kwargs)
+        kwargs = dict(x=1, traffic=api.UniformConfig(steps=300, seeds=(0, 1)))
+        assert _key(api.sweep(*args, **kwargs)) == _key(
+            api.sweep(*args, execution=PARALLEL, **kwargs)
         )
 
     def test_serial_vs_parallel_adversarial_curve(self):
         args = (3, 3, 1, [2, 4])
-        kwargs = dict(x=1, steps=150, seeds=(0,), adversarial=True, adversary_seeds=6)
-        assert _key(blocking_vs_m(*args, **kwargs)) == _key(
-            blocking_vs_m(*args, jobs=2, **kwargs)
+        kwargs = dict(
+            x=1,
+            traffic=api.UniformConfig(
+                steps=150, seeds=(0,), adversarial=True, adversary_seeds=6
+            ),
+        )
+        assert _key(api.sweep(*args, **kwargs)) == _key(
+            api.sweep(*args, execution=PARALLEL, **kwargs)
         )
 
 
 class TestExactMinimalMEquivalence:
     def test_serial_vs_parallel_scan(self):
-        serial = exact_minimal_m(2, 2, 1, x=1, m_max=6, jobs=1)
-        parallel = exact_minimal_m(2, 2, 1, x=1, m_max=6, jobs=2)
+        serial = api.exact_m(2, 2, 1, x=1, m_max=6)
+        parallel = api.exact_m(2, 2, 1, x=1, m_max=6, execution=PARALLEL)
         assert serial == parallel

@@ -76,28 +76,25 @@ class TestCommands:
     BLOCKING = ("blocking", "--n", "2", "--r", "2", "--k", "1", "--m-max", "4")
 
     def test_blocking_kernel_flag_same_numbers(self, capsys):
-        default = run_cli(capsys, *self.BLOCKING)
-        for kernel in ("reference", "bitmask", "batched"):
-            out = run_cli(capsys, *self.BLOCKING, "--kernel", kernel)
-            assert out == default
+        """The process routing kernel never changes the lockstep numbers."""
+        from repro.multistage.routing import routing_kernel
 
-    def test_blocking_batched_with_batch_cap(self, capsys):
         default = run_cli(capsys, *self.BLOCKING)
-        out = run_cli(
-            capsys, *self.BLOCKING, "--kernel", "batched", "--batch", "2"
-        )
-        assert out == default
+        with routing_kernel("reference"):
+            assert run_cli(capsys, *self.BLOCKING) == default
 
     def test_blocking_batched_cache_footer(self, capsys, tmp_path):
-        """Batched cells land in the cache with per-cell granularity."""
+        """Lockstep cells land in the cache with per-cell granularity."""
         args = (
             "blocking", "--n", "2", "--r", "2", "--k", "1", "--m-max", "2",
-            "--kernel", "batched", "--cache", "--cache-dir", str(tmp_path),
+            "--cache", "--cache-dir", str(tmp_path),
         )
         out = run_cli(capsys, *args)
         assert "cache: 0 hits" in out and "6 stored" in out
+        for path in sorted(tmp_path.glob("*.pkl"))[:2]:
+            path.unlink()
         out = run_cli(capsys, *args)
-        assert "cache: 6 hits" in out
+        assert "cache: 4 hits, 2 misses, 2 stored" in out
 
     def test_blocking_prints_confidence_interval(self, capsys):
         out = run_cli(capsys, *self.BLOCKING)
@@ -115,9 +112,12 @@ class TestCommands:
         assert "events:" in out
 
     def test_sweep_kernel_flag_same_numbers(self, capsys):
+        """The process routing kernel never changes the adaptive numbers."""
+        from repro.multistage.routing import routing_kernel
+
         default = run_cli(capsys, *self.SWEEP)
-        for kernel in ("bitmask", "batched"):
-            assert run_cli(capsys, *self.SWEEP, "--kernel", kernel) == default
+        with routing_kernel("reference"):
+            assert run_cli(capsys, *self.SWEEP) == default
 
     def test_sweep_resume_is_bit_identical(self, capsys, tmp_path):
         cold = run_cli(capsys, *self.SWEEP)
@@ -199,8 +199,9 @@ class TestTraceCommand:
 
         monkeypatch.delenv(BACKEND_ENV, raising=False)
         out = run_cli(capsys, "kernels")
-        for kernel in ("reference", "bitmask", "batched"):
-            assert kernel in out
+        assert "lockstep replay on the auto backend" in out
+        assert "serial routes (exact, adversary): bitmask, reference" in out
+        assert "batched" not in out
         for backend in ("python", "numba"):
             assert backend in out
         assert f"plane width: W = ceil(max(m, r, k) / {WORD_BITS})" in out
@@ -264,34 +265,15 @@ class TestParser:
         with pytest.raises(SystemExit):
             parser.parse_args(["design", "--model", "bogus"])
 
-    def test_unknown_kernel_rejected_listing_valid_ones(self, capsys):
+    def test_retired_execution_flags_rejected(self, capsys):
+        """``--kernel``/``--batch``/``--backend`` are gone: one route."""
         parser = build_parser()
-        with pytest.raises(SystemExit):
-            parser.parse_args(["blocking", "--kernel", "bogus"])
-        message = capsys.readouterr().err
-        assert "unknown kernel 'bogus'" in message
-        for kernel in ("batched", "bitmask", "reference"):
-            assert kernel in message
-
-    def test_unknown_backend_rejected_listing_valid_ones(self, capsys):
-        parser = build_parser()
-        with pytest.raises(SystemExit):
-            parser.parse_args(["blocking", "--backend", "bogus"])
-        message = capsys.readouterr().err
-        assert "unknown backend 'bogus'" in message
-        for backend in ("auto", "python"):
-            assert backend in message
-
-    def test_retired_numpy_backend_rejected(self, capsys):
-        parser = build_parser()
-        with pytest.raises(SystemExit):
-            parser.parse_args(["blocking", "--backend", "numpy"])
-        assert "unknown backend 'numpy'" in capsys.readouterr().err
-
-    def test_backend_flag_accepts_known_names(self):
-        parser = build_parser()
-        args = parser.parse_args(["blocking", "--backend", "PYTHON"])
-        assert args.backend == "python"
+        for flag, value in (
+            ("--kernel", "batched"), ("--batch", "2"), ("--backend", "python"),
+        ):
+            with pytest.raises(SystemExit):
+                parser.parse_args(["blocking", flag, value])
+            assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_unknown_construction_rejected(self):
         parser = build_parser()

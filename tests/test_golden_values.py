@@ -129,9 +129,9 @@ class TestScenarioGolden:
         assert (result.m_paper, result.m_corrected) == (5, 11)
 
     def test_exact_threshold_smallest(self):
-        from repro.multistage.exhaustive import exact_minimal_m
+        from repro import api
 
-        assert exact_minimal_m(2, 2, 1, x=1, m_max=5).m_exact == 3
+        assert api.exact_m(2, 2, 1, x=1, m_max=5).m_exact == 3
 
     def test_recursive_65536(self):
         from repro.multistage.recursive import best_recursive_design

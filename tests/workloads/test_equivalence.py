@@ -4,8 +4,9 @@ The workload seam sits *above* the admission engine: a workload only
 changes which events are drawn, never how they are routed.  So the
 bit-identity contract of the kernels must hold per replication for
 every registered model -- serial reference network, batched python
-backend and the fused (numba array program, interpreted here) backend
-must agree on counts *and* on the ``explain_block`` cause dicts.
+backend and, where numpy is importable, the fused (numba array
+program, interpreted here) backend must agree on counts *and* on the
+``explain_block`` cause dicts.
 
 The second contract is key hygiene: a workload's identity must enter
 every cache key, so a warm uniform cache can never answer for
@@ -14,8 +15,8 @@ non-uniform traffic (cross-workload cache poisoning).
 
 from __future__ import annotations
 
+import importlib.util
 import os
-import random
 from contextlib import contextmanager
 
 from hypothesis import assume, given, settings
@@ -37,6 +38,11 @@ from repro.workloads import (
 from repro.workloads.keys import stream_rng
 
 STEPS = 120
+#: the built-in backends this host can run: the fused ``numba`` backend
+#: needs numpy (and runs interpreted where numba is not installed).
+BACKENDS = (
+    ("python", "numba") if importlib.util.find_spec("numpy") else ("python",)
+)
 
 WORKLOADS = [
     UniformConfig(),
@@ -115,21 +121,15 @@ class TestEveryWorkloadAgreesAcrossKernels:
         attempts, blocked, causes = serial_cell(
             n, r, m, k, construction, model, x, seed, workload
         )
-        batched = replay_cell(
-            n, r, m, k, construction=construction, model=model, x=x,
-            steps=STEPS, seed=seed, backend="python", record_causes=True,
-            workload=workload,
-        )
-        assert (batched.attempts, batched.blocked) == (attempts, blocked)
-        assert list(batched.causes) == causes
-        with fused_interpreted():
-            fused = replay_cell(
-                n, r, m, k, construction=construction, model=model, x=x,
-                steps=STEPS, seed=seed, backend="numba", record_causes=True,
-                workload=workload,
-            )
-        assert (fused.attempts, fused.blocked) == (attempts, blocked)
-        assert list(fused.causes) == causes
+        for backend in BACKENDS:
+            with fused_interpreted():
+                batched = replay_cell(
+                    n, r, m, k, construction=construction, model=model, x=x,
+                    steps=STEPS, seed=seed, backend=backend,
+                    record_causes=True, workload=workload,
+                )
+            assert (batched.attempts, batched.blocked) == (attempts, blocked)
+            assert list(batched.causes) == causes
 
 
 class TestCacheKeyHygiene:

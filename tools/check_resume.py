@@ -44,7 +44,6 @@ SWEEP_ARGS = [
     "--m-max", "6",
     "--steps", "200",
     "--ci-halfwidth", "0.008",
-    "--kernel", "batched",
 ]
 
 

@@ -84,7 +84,8 @@ it off.
 
 ### Canonicalized exhaustive search
 
-`is_blockable` / `exact_minimal_m` default to `canonicalize=True`: the
+`is_blockable` and `repro.api.exact_m` default to canonicalized
+search (`canonicalize=True` / `SearchConfig(canonicalize=True)`): the
 DFS transposition table keys on
 `ThreeStageNetwork.canonical_signature()` (invariant under
 middle-switch permutation, plus global wavelength relabeling for the
@@ -92,8 +93,9 @@ MSW model) and a monotone victim probe replaces the exhaustive
 per-request scan. Verdicts are identical to `canonicalize=False` (the
 reference search, kept for the property tests); `states_explored`
 counts symmetry classes and witnesses may differ but still `replay()`.
-`exact_minimal_m` also accepts `jobs` (parallel m-candidates) and
-`cache` (a `repro.perf.ResultCache`).
+`repro.api.exact_m` also takes `ExecConfig(jobs=...)` (parallel
+m-candidates) and `ExecConfig(cache_dir=...)` (a
+`repro.perf.ResultCache`).
 """,
     "repro.perf": """\
 ### Executor selection
@@ -114,10 +116,10 @@ them down.
 
 `ResultCache(directory)` content-addresses each sweep cell by a
 SHA-256 digest of (namespace, `CODE_VERSION`, routing-kernel id,
-canonical-JSON parameters). `blocking_probability`, `blocking_vs_m`
-and `exact_minimal_m` accept `cache=`; work units carrying a
-`cache_key` are looked up before execution and stored after, so
-interrupted or repeated sweeps recompute only missing cells. Writes
+canonical-JSON parameters). `repro.api.blocking`, `sweep` and
+`exact_m` open one with `ExecConfig(cache_dir=...)`; every cell is
+looked up before it is computed and stored after, so interrupted or
+repeated sweeps recompute only missing cells. Writes
 are atomic (temp file + `os.replace`); entries that fail to unpickle
 are deleted and recomputed. The CLI flags are `--cache` / `--no-cache`
 and `--cache-dir DIR` on `blocking` and `exact`.
@@ -131,8 +133,9 @@ recompute without ever changing results.
 
 ### Lockstep batch Monte Carlo
 
-`repro.perf.batch` is the engine behind the `"batched"` routing
-kernel. A blocking-vs-m sweep replays the *same* traffic per `(m,
+`repro.perf.batch` is the one Monte-Carlo route behind
+`repro.api.blocking` and `sweep`. A blocking-vs-m sweep replays the
+*same* traffic per `(m,
 seed)` cell, so `compile_stream` compiles each seed's stream once
 (traffic is m-independent -- common random numbers) and the engine
 replays it through B structure-of-arrays fabric states in lockstep.
@@ -148,9 +151,12 @@ pure-Python int-bitplane backend and the fused `numba` backend -- the
 are bit-identical to the serial simulator per replication, blocking
 causes included. For the fused backend, `lower_stream` flattens the
 compiled stream to int64 arrays and `FusedState.replay_ops` runs the
-entire event loop in one `@njit` kernel. Override with the
-`WDM_REPRO_BATCH_BACKEND` environment variable; `wdm-repro kernels`
-prints the availability matrix.
+entire event loop in one `@njit` kernel. The front door always runs
+on the `auto` backend; override it with the `WDM_REPRO_BATCH_BACKEND`
+environment variable. `wdm-repro kernels` prints backend availability.
+`repro.analysis.montecarlo._traffic_cell` stays as the serial oracle:
+`SearchConfig(debug_checks=True)` replays every freshly computed Clos
+cell through it and raises on any disagreement.
 """,
     "repro.perf.adaptive": """\
 ### Sequential stopping instead of fixed budgets
@@ -231,9 +237,9 @@ The three verbs take frozen config dataclasses grouped by concern:
 a `repro.workloads.WorkloadConfig` as `traffic=` (steps, seeds, fanout
 cap, adversarial probing on the base surface, model shape on each
 subclass), `ExecConfig` (jobs, executor kind, cache directory) and
-`SearchConfig` (routing kernel, canonicalization, debug checks).
-Results are bit-identical to the legacy entry points with the same
-parameters and carry a `repro.obs.meta.ResultMeta` provenance envelope
+`SearchConfig` (routing kernel of the exact and adversarial searches,
+canonicalization, self-verification). Results carry a
+`repro.obs.meta.ResultMeta` provenance envelope
 (code version, kernel id, execution plan, obs summary, workload
 identity) on `.meta`; the envelope and `BlockingEstimate` both
 round-trip through `to_json()`/`from_json()`.
@@ -242,14 +248,11 @@ round-trip through `to_json()`/`from_json()`.
 `UniformConfig` (the default), `HotspotConfig`,
 `HeavyTailFanoutConfig`, `PoissonErlangConfig`, `TraceConfig` -- and
 the estimators, kernels, caches and the adaptive driver treat them
-uniformly. `TrafficConfig` is a deprecated alias of `UniformConfig`
-(same fields, same numbers, plus a `DeprecationWarning`).
+uniformly.
 
-`SearchConfig(kernel="batched")` routes the Monte-Carlo estimators
-through the lockstep batch engine (`repro.perf.batch`) -- same numbers,
-one compiled-stream replay per seed instead of one per `(m, seed)`
-cell; `ExecConfig(batch=B)` caps replications per work unit without
-affecting results.
+`blocking` and `sweep` run every seed through the lockstep batch
+engine (`repro.perf.batch`): one compiled-stream replay per seed
+covers every `m`, on the backend `resolve_backend("auto")` picks.
 
 `ExecConfig(precision=PrecisionConfig(...))` switches `blocking` and
 `sweep` from the fixed seed list to the adaptive sequential-stopping
@@ -257,13 +260,9 @@ driver (`repro.perf.adaptive`): replication rounds continue until the
 Wilson interval meets the requested half-width.  Adversarial traffic
 has no precision-targeted mode and is rejected with a `ValueError`.
 
-The legacy kwargs signatures (`blocking_probability`, `blocking_vs_m`,
-`exact_minimal_m`) keep working but emit `DeprecationWarning`. One
-behavioral fix ships only in the facade: `sweep` derives adversary
-seeds from the whole traffic configuration instead of from `m` alone,
-so two sweeps sharing an `m` value no longer replay identical
-adversary streams; the deprecated `blocking_vs_m` keeps the old
-`m`-only schedule so golden values stay reproducible.
+`sweep` derives adversary seeds from the whole traffic configuration,
+not from `m` alone, so two sweeps sharing an `m` value never replay
+identical adversary streams.
 """,
     "repro.obs": """\
 ### Zero cost when off
@@ -283,8 +282,10 @@ network's bitmask caches by `ThreeStageNetwork.explain_block`:
 `saturated_wavelength`, `converter_exhaustion`, `full_middles` or
 `no_cover`, plus the evidence masks. The `summary` record's per-cause
 counts always sum to the blocked total -- the blocking-probability
-numerator. CLI: `wdm-repro trace fig10 --trace-out -` and
-`wdm-repro trace blocking ...`.
+numerator. The lockstep estimators emit aggregate counters only, never
+per-event records, so `wdm-repro trace blocking ...` replays each seed
+on the serial network instead. CLI: `wdm-repro trace fig10
+--trace-out -` and `wdm-repro trace blocking ...`.
 
 ### Cross-process metrics
 
