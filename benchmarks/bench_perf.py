@@ -1149,9 +1149,11 @@ def bench_topology(quick: bool, reps: int) -> dict:
     compiled streams and must produce per-replication identical
     ``(attempts, blocked, releases)`` on every available state backend
     (python and the fused kernel -- forced to interpreted mode when
-    numba is absent).  Two live oracles ride along: the crossbar
-    must record exactly zero blocked events (it is nonblocking by
-    construction), and no fabric may block *less* than the crossbar.
+    numba is absent).  Two live oracles ride along: every column the
+    fabric's zero-blocking certificate covers (the crossbar's at every
+    ``m``, the Clos's at or above the corrected Theorem 1/2 bound) must
+    record exactly zero blocked events, and no fabric may block *less*
+    than the crossbar.
     The payload is the paper-style blocking-vs-cost curve per fabric
     (crosspoints from each spec's cost model), the reason the zoo
     exists.  The section is identity-only: ``speedup`` is 1.0 by
@@ -1161,6 +1163,7 @@ def bench_topology(quick: bool, reps: int) -> dict:
 
     from repro.engine.fabrics import fabric_names, get_fabric
     from repro.engine.fused import FUSED_ENV, NUMBA_AVAILABLE
+    from repro.engine.geometry import FabricGeometry
     from repro.perf.batch import _simulate
 
     n, r, k, x = 3, 3, 2, 1
@@ -1211,9 +1214,18 @@ def bench_topology(quick: bool, reps: int) -> dict:
                 for mi in range(len(m_values))
             ]
             blocked_by_fabric[fabric] = blocked_per_m
-            if spec.nonblocking and any(blocked_per_m):
+            certified = [
+                spec.certifies(
+                    FabricGeometry(
+                        n=n, r=r, k=k, m=m, construction=construction,
+                        model=model, x=x, fabric=fabric,
+                    )
+                )
+                for m in m_values
+            ]
+            if any(b for b, ok in zip(blocked_per_m, certified) if ok):
                 diverged.append(
-                    {"fabric": fabric, "backend": "nonblocking-oracle"}
+                    {"fabric": fabric, "backend": "certified-zero-oracle"}
                 )
             curve = [
                 {
@@ -1231,7 +1243,9 @@ def bench_topology(quick: bool, reps: int) -> dict:
             fabric_rows.append(
                 {
                     "fabric": fabric,
-                    "nonblocking": spec.nonblocking,
+                    "certified_m": [
+                        m for m, ok in zip(m_values, certified) if ok
+                    ],
                     "attempts": attempts_total,
                     "replications_checked": len(m_values) * len(seeds),
                     "backends": backends,

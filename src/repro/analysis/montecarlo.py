@@ -56,6 +56,7 @@ from repro.core.models import (
     parse_multicast_model,
 )
 from repro.engine.fabrics import get_fabric
+from repro.engine.geometry import FabricGeometry
 from repro.multistage.adversary import search_blocking_state
 from repro.multistage.network import ThreeStageNetwork, _debug_checks_default
 from repro.obs.meta import ResultMeta
@@ -475,9 +476,12 @@ def _verify_unit(
     :func:`_traffic_cell` on a ``ThreeStageNetwork`` that checks its
     invariants after every event, and a disagreement in ``(attempts,
     blocked)`` raises ``AssertionError`` naming the ``(m, seed,
-    antithetic)`` cell.  Other fabrics have no serial network to replay
-    on.  The replay runs with observability paused, so counters and
-    traces are the lockstep run's alone.
+    antithetic)`` cell.  Certified cells, whose replay the engine
+    skipped on the strength of the corrected Theorem 1/2 bound
+    (:meth:`repro.engine.fabrics.FabricSpec.certifies`), are replayed
+    too, and their message names that bound.  Other fabrics have no
+    serial network to replay on.  The replay runs with observability
+    paused, so counters and traces are the lockstep run's alone.
     """
     (n, r, k, construction, model, x, steps, max_fanout, seed, _, _,
      antithetic, workload, fabric) = unit.args
@@ -492,10 +496,21 @@ def _verify_unit(
                 True, antithetic, workload,
             )
             if tuple(value) != serial:
+                geometry = FabricGeometry(
+                    n=n, r=r, k=k, m=m, construction=construction,
+                    model=model, x=x, fabric=fabric,
+                )
+                spec = get_fabric(fabric)
+                certified = (
+                    f", certified by corrected bound "
+                    f"m>={spec.certified_bound(geometry)}"
+                    if spec.certifies(geometry)
+                    else ""
+                )
                 raise AssertionError(
                     f"debug_checks: lockstep cell (m={m}, seed={seed}, "
-                    f"antithetic={antithetic}) gave (attempts, blocked) = "
-                    f"{tuple(value)}, the serial network {serial}"
+                    f"antithetic={antithetic}{certified}) gave (attempts, "
+                    f"blocked) = {tuple(value)}, the serial network {serial}"
                 )
 
 
@@ -555,7 +570,8 @@ def _run_batched_cells(
         )
         for seed in sorted(by_seed)
     ]
-    for unit, unit_result in zip(units, sweeper.run(units)):
+    executed = sweeper.run(units, served=len(cells) - len(pending))
+    for unit, unit_result in zip(units, executed):
         _verify_unit(unit, unit_result.value, debug_checks)
         for m, value in unit_result.value:
             cell = (m, unit.unit_id)

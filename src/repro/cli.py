@@ -479,7 +479,11 @@ def _cmd_kernels(args: argparse.Namespace) -> str:
 
 def _cmd_fabrics(args: argparse.Namespace) -> str:
     from repro.engine.backends import available_backends, backend_status
-    from repro.engine.fabrics import fabric_status, get_fabric
+    from repro.engine.fabrics import (
+        certify_every_m,
+        fabric_status,
+        get_fabric,
+    )
     from repro.engine.planes import WORD_BITS, PlaneLayout
 
     status = fabric_status()
@@ -490,9 +494,9 @@ def _cmd_fabrics(args: argparse.Namespace) -> str:
         spec = get_fabric(name)
         cells = []
         for backend in backends:
-            if spec.nonblocking:
-                # The nonblocking fast path counts setup ops without
-                # replaying state, so no backend is ever consulted.
+            if spec.certificate is certify_every_m:
+                # Every column is certified, so the engine counts setup
+                # ops without replaying state on any backend.
                 cells.append("n/a (no replay)")
             elif backend in backend_avail:
                 cells.append("yes")
@@ -516,6 +520,8 @@ def _cmd_fabrics(args: argparse.Namespace) -> str:
         f"plane width: W = ceil(max(m, r, k) / {WORD_BITS}) int64 "
         f"words per mask, identical for every fabric (e.g. m=r=k=100 -> "
         f"W={PlaneLayout.for_fabric(100, 100, 100).width})",
+        "certified zero-blocking columns skip the replay: every setup "
+        "is admitted, every teardown released.",
         "select with --fabric NAME (blocking/sweep); 'clos' is the "
         "paper's three-stage network and the default.",
     ]

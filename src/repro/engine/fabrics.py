@@ -14,13 +14,23 @@ rest of the stack needs:
 * **geometry** -- which :class:`~repro.engine.geometry.FabricGeometry`
   instances are legal (``validate_geometry``) and what the fabric
   costs in SOA crosspoints at that shape (``cost``);
-* **admission program** -- either the full Clos middle-stage replay
-  (optionally constrained by a static per-``(middle, wavelength)``
-  reach rule that the state backends seed into their blocker
-  bitplanes at construction), or the single-stage nonblocking fast
-  path (``nonblocking=True``: every legal request is admitted, so the
-  engine skips the replay entirely and the fabric doubles as a live
-  zero-blocking oracle);
+* **admission program** -- the Clos middle-stage replay, optionally
+  constrained by a static per-``(middle, wavelength)`` reach rule that
+  the state backends seed into their blocker bitplanes at
+  construction;
+* **zero-blocking certificate** -- per geometry, whether a theorem
+  proves the fabric never blocks there (``certifies``).  The engine
+  drops certified columns from the replay and records their exact
+  outcome instead: every setup admitted, every teardown released.
+  The Clos certifies ``m`` at or above the corrected Theorem 1/2
+  bound at the cell's own ``x``
+  (:func:`repro.core.corrected.min_middle_switches_corrected`), which
+  is sound here because the engine's cover search
+  (:func:`repro.engine.cover.find_cover_bits`) is exact within ``x``;
+  the single-stage crossbar certifies every ``m``, so it never
+  replays and doubles as a live zero-blocking oracle; the AWG-routed
+  Clos certifies nothing (no property here confirms Ye & Lee's
+  condition on its reach rule);
 * **block-cause taxonomy** -- the subset of ``ALL_BLOCK_KINDS`` the
   fabric can produce (``block_kinds``), which ``repro.obs`` cause
   labels and the fused kernel's histogram columns share.
@@ -45,12 +55,14 @@ from collections.abc import Callable
 from dataclasses import dataclass, field
 from typing import Any
 
+from repro.core.corrected import min_middle_switches_corrected
 from repro.core.models import Construction, MulticastModel
 from repro.core.multistage import module_crosspoints, multistage_cost
 
 __all__ = [
     "CLOS",
     "FabricSpec",
+    "certify_every_m",
     "fabric_names",
     "fabric_status",
     "get_fabric",
@@ -80,9 +92,11 @@ class FabricSpec:
         name: registry tag; the ``--fabric`` / cache-token name.
         title: short human label for tables and reports.
         description: one-line summary shown by ``wdm-repro fabrics``.
-        nonblocking: True for single-stage fabrics that admit every
-            legal request -- the engine skips the middle-stage replay
-            and records zero blocked events (the live oracle property).
+        certificate: zero-blocking certificate, or None (never
+            certified).  ``certificate(n, r, k, construction, model,
+            x)`` returns the smallest ``m`` at which a theorem proves
+            the fabric admits every legal request of that shape; the
+            engine skips the replay of every column at or above it.
         constructions: constructions the fabric supports; None = all.
         reach_rule: static wavelength-routing constraint, or None.
             ``reach_rule(j, sw, r, k)`` returns the bitmask of output
@@ -97,7 +111,7 @@ class FabricSpec:
     name: str
     title: str
     description: str
-    nonblocking: bool = False
+    certificate: Callable[..., int] | None = field(default=None, repr=False)
     constructions: tuple[Construction, ...] | None = None
     reach_rule: Callable[[int, int, int, int], int] | None = None
     block_kinds: tuple[str, ...] = _CLOS_KINDS
@@ -141,6 +155,22 @@ class FabricSpec:
     ) -> int:
         """SOA crosspoint count at shape ``v(n, r, m, k)`` (Table 1)."""
         return self.cost_fn(n, r, m, k, construction, model)
+
+    # -- zero-blocking certificate -------------------------------------------
+
+    def certified_bound(self, geometry: Any) -> int | None:
+        """Smallest certified ``m`` at ``geometry``'s shape, or None."""
+        if self.certificate is None:
+            return None
+        return self.certificate(
+            geometry.n, geometry.r, geometry.k,
+            geometry.construction, geometry.model, geometry.x,
+        )
+
+    def certifies(self, geometry: Any) -> bool:
+        """True when a theorem proves ``geometry`` never blocks."""
+        bound = self.certified_bound(geometry)
+        return bound is not None and geometry.m >= bound
 
     # -- admission program ---------------------------------------------------
 
@@ -199,6 +229,18 @@ def _crossbar_cost(
     return module_crosspoints(model, n * r, n * r, k)
 
 
+def certify_every_m(
+    n: int,
+    r: int,
+    k: int,
+    construction: Construction,
+    model: MulticastModel,
+    x: int,
+) -> int:
+    """The certificate of a fabric that never blocks: every ``m >= 1``."""
+    return 1
+
+
 def _awg_reach_rule(j: int, sw: int, r: int, k: int) -> int:
     """The cyclic AWG routing constraint of the Ye & Lee construction.
 
@@ -225,8 +267,11 @@ CLOS = FabricSpec(
     title="three-stage Clos",
     description=(
         "the paper's v(n, r, m, k) three-stage network -- the full "
-        "middle-stage admission replay (the legacy engine, bit-identical)"
+        "middle-stage admission replay (the legacy engine, bit-identical); "
+        "columns at m >= the corrected Theorem 1/2 bound are certified "
+        "zero-blocking and skip it"
     ),
+    certificate=min_middle_switches_corrected,
     cost_fn=_clos_cost,
 )
 
@@ -237,7 +282,7 @@ _CROSSBAR = FabricSpec(
         "the nonblocking N x N crossbar of Figs. 4/6/7 -- admits every "
         "legal request, blocking is exactly zero (the live oracle)"
     ),
-    nonblocking=True,
+    certificate=certify_every_m,
     block_kinds=(),
     cost_fn=_crossbar_cost,
 )

@@ -142,8 +142,10 @@ def capture(
     The Monte-Carlo estimators (:func:`repro.api.blocking` /
     :func:`repro.api.sweep`) run the lockstep engine of
     :mod:`repro.perf.batch`, which records aggregate counters only
-    (``mc.cells``, ``net.admit.*``, ``net.block.cause.*``,
-    ``net.release``) and never per-event trace records.  A per-event
+    (``mc.cells``, ``mc.certified_cells`` -- columns whose replay the
+    corrected Theorem 1/2 bound let the engine skip --
+    ``net.admit.*``, ``net.block.cause.*``, ``net.release``) and never
+    per-event trace records.  A per-event
     trace of random traffic comes from the serial network instead --
     ``wdm-repro trace blocking`` drives
     :func:`repro.analysis.montecarlo._traffic_cell` per seed.

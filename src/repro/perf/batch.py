@@ -4,8 +4,8 @@
 stream against one :class:`~repro.multistage.network.ThreeStageNetwork`;
 a sweep over ``m x seeds`` cells on it pays the full per-event
 Python overhead (object construction, admission validation, cache
-bookkeeping) once per cell.  This module removes that multiplier two
-ways, and is therefore the one route of the Monte-Carlo estimators
+bookkeeping) once per cell.  This module removes that multiplier, and
+is therefore the one route of the Monte-Carlo estimators
 (``_traffic_cell`` stays as the serial oracle):
 
 * **common random numbers** -- the traffic stream depends only on
@@ -18,7 +18,13 @@ ways, and is therefore the one route of the Monte-Carlo estimators
   fabric state as packed integer bitplanes (middle-switch occupancy,
   per-fiber wavelength masks, converter pools), so the per-event work
   is a handful of mask operations per replication instead of a network
-  object call stack.
+  object call stack;
+* **certified columns** -- a column whose geometry the fabric's
+  zero-blocking certificate covers
+  (:meth:`~repro.engine.fabrics.FabricSpec.certifies`; for the Clos,
+  ``m`` at or above the corrected Theorem 1/2 bound) is not replayed
+  at all: its outcome -- every setup admitted, every teardown
+  released -- is known exactly.
 
 The replay reproduces the serial simulator *bit for bit* because both
 run the same code: one backend-parameterized event loop
@@ -412,30 +418,41 @@ def _simulate(
     ops = compile_stream(
         model, n, r, k, steps, seed, max_fanout, antithetic, workload
     )
-    if spec.nonblocking:
-        # Single-stage nonblocking fabric: every compiled setup is a
-        # legal request and the fabric admits it by construction, so
-        # there is no middle-stage state to replay -- attempts are the
-        # stream's setup count, blocked is exactly zero (the live
-        # oracle property), and every teardown releases.  The backend
-        # is still resolved so unknown-backend errors stay uniform.
-        resolve_backend(backend, m_max=max(m_values), r=r, k=k)
-        attempts = sum(1 for op in ops if op[0] == _SETUP)
-        teardowns = len(ops) - attempts
-        replications = []
-        for _ in m_values:
-            rep = _Replication()
-            rep.releases = teardowns
-            replications.append(rep)
-    else:
-        state = make_state(geometries, backend)
-        attempts, replications = _replay(
+    # Certified columns (a theorem proves the geometry never blocks, see
+    # FabricSpec.certifies) drop out of the replay: every compiled setup
+    # is a legal request the fabric admits, so attempts are the stream's
+    # setup count, blocked is exactly zero and every teardown releases.
+    # The state -- and with it the plane width -- covers only the
+    # uncertified columns.
+    certified = [spec.certifies(geo) for geo in geometries]
+    replayed = [geo for geo, ok in zip(geometries, certified) if not ok]
+    if replayed:
+        state = make_state(replayed, backend)
+        attempts, replayed_reps = _replay(
             ops, state, want_kinds, record_causes
         )
+    else:
+        # Resolved anyway, so unknown-backend errors stay uniform.
+        resolve_backend(backend, m_max=max(m_values), r=r, k=k)
+        attempts = sum(1 for op in ops if op[0] == _SETUP)
+        replayed_reps = []
+    teardowns = len(ops) - attempts
+    pending = iter(replayed_reps)
+    replications = []
+    for ok in certified:
+        if ok:
+            rep = _Replication()
+            rep.releases = teardowns
+        else:
+            rep = next(pending)
+        replications.append(rep)
     if _obs.enabled():
         # Aggregate increments, guarded on nonzero so the counter *set*
         # (not just the totals) matches a serial run's -- serial counters
-        # only exist once incremented.
+        # only exist once incremented.  mc.certified_cells has no serial
+        # counterpart: it records the replays this engine skipped.
+        if len(replayed) < len(geometries):
+            _obs.inc("mc.certified_cells", len(geometries) - len(replayed))
         for rep in replications:
             _obs.inc("mc.cells")
             if attempts:

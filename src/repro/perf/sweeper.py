@@ -124,7 +124,12 @@ class ExecutionPlan:
             actually ran.
         units: total work units in the sweep.
         dispatched: units actually executed (the rest were cache hits).
-        cache_hits: units served from the result cache.
+        cache_hits: cells served from the result cache -- the units
+            :meth:`ParallelSweeper.run` found cached (a unit is one
+            cell there) plus the cells its caller looked up before
+            building units (``served``; the Monte-Carlo estimators
+            cache per ``(m, seed)`` cell but dispatch one unit per
+            seed).
         reason: one-line explanation of a serial fallback ("" when the
             requested parallel plan ran as asked).
     """
@@ -315,6 +320,7 @@ class ParallelSweeper:
         units: Iterable[WorkUnit],
         *,
         cache: "ResultCache | None" = None,
+        served: int = 0,
     ) -> list[SweepResult]:
         """Execute all units; results come back in input order.
 
@@ -323,7 +329,9 @@ class ParallelSweeper:
         position when that reads better.  With ``cache``, units whose
         ``cache_key`` resolves to a stored entry are served from disk
         (marked ``cached=True``) and only the misses are dispatched;
-        executed results carrying a key are stored back.
+        executed results carrying a key are stored back.  ``served``
+        counts cells the caller already answered from its own cache
+        lookups; it joins the plan's ``cache_hits``.
         """
         global _LAST_PLAN
         units = list(units)
@@ -354,13 +362,13 @@ class ParallelSweeper:
             executor=executor,
             units=len(units),
             dispatched=len(pending),
-            cache_hits=len(merged),
+            cache_hits=len(merged) + served,
             reason=reason,
         )
         if _obs.enabled():
             _obs.inc("sweep.units", len(units))
             _obs.inc("sweep.dispatched", len(pending))
-            _obs.inc("sweep.cache_hits", len(merged))
+            _obs.inc("sweep.cache_hits", len(merged) + served)
 
         if executor == "serial":
             executed = [_run_unit(unit) for _, unit in pending]

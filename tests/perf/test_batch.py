@@ -9,6 +9,7 @@ configurations and on both state backends.
 
 from __future__ import annotations
 
+import dataclasses
 import importlib.util
 import os
 import random
@@ -20,9 +21,13 @@ from hypothesis import strategies as st
 
 from repro import api, obs
 from repro.analysis.montecarlo import _traffic_cell
+from repro.core.corrected import min_middle_switches_corrected
 from repro.core.models import Construction, MulticastModel
 from repro.core.multistage import valid_x_range
+from repro.engine import fabrics
 from repro.engine.fused import FUSED_ENV, NUMBA_AVAILABLE
+from repro.engine.geometry import FabricGeometry
+from repro.perf import batch as batch_module
 from repro.multistage.network import ThreeStageNetwork
 from repro.perf.batch import (
     BACKEND_ENV,
@@ -391,6 +396,13 @@ class TestCacheIntegration:
         # (kernel is part of every key), so it stores its own.
         assert len(ResultCache(tmp_path)) == 2 * entries_after_bitmask
 
+    def test_warm_plan_counts_cell_cache_hits(self, tmp_path):
+        self.sweep(tmp_path)
+        plan = self.sweep(tmp_path)[0].meta.plan
+        assert (plan["units"], plan["dispatched"], plan["cache_hits"]) == (
+            0, 0, 6,
+        )
+
     def test_partially_warm_batched_sweep(self, tmp_path):
         full = self.sweep(tmp_path)
         cache = ResultCache(tmp_path)
@@ -399,6 +411,163 @@ class TestCacheIntegration:
             path.unlink()
         resumed = self.sweep(tmp_path)
         assert resumed == full
+
+
+class TestCertifiedColumns:
+    """Columns the corrected Theorem 1/2 bound certifies skip the replay.
+
+    ``(3, 3, 2)`` MAW-dominant/MAW at ``x = 2`` certifies ``m >= 9``, so
+    ``m = 7..11`` straddles the bound: two replayed columns, three
+    certified ones.  Either way every cell must equal the serial
+    network's, on every backend.
+    """
+
+    SHAPE = (3, 3, 2, Construction.MAW_DOMINANT, MulticastModel.MAW, 2)
+    BOUND = min_middle_switches_corrected(
+        3, 3, 2, Construction.MAW_DOMINANT, MulticastModel.MAW, 2
+    )
+
+    def test_bound_of_the_shape(self):
+        assert self.BOUND == 9
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_batch_across_the_bound_equals_per_cell_serial(self, backend):
+        n, r, k, construction, model, x = self.SHAPE
+        m_values = list(range(self.BOUND - 2, self.BOUND + 3))
+        for seed in (0, 1):
+            with fused_runnable():
+                cells = simulate_batch(
+                    n, r, k, construction, model, x, 300, None, seed,
+                    m_values, backend,
+                )
+            assert [m for m, _ in cells] == m_values
+            assert [value for _, value in cells] == [
+                _traffic_cell(
+                    n, r, m, k, construction, model, x, 300, seed, None
+                )
+                for m in m_values
+            ]
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_state_spans_only_uncertified_columns(self, backend, monkeypatch):
+        """A wide certified column drops out, so the planes stay one word."""
+        n, r, k, construction, model, x = self.SHAPE
+        built = []
+        real = batch_module.make_state
+
+        def spy(geometries, chosen):
+            built.append([geo.m for geo in geometries])
+            return real(geometries, chosen)
+
+        monkeypatch.setattr(batch_module, "make_state", spy)
+        m_values = [self.BOUND - 1, 70, self.BOUND - 2, self.BOUND]
+        with fused_runnable():
+            cells = simulate_batch(
+                n, r, k, construction, model, x, 200, None, 3, m_values,
+                backend,
+            )
+        assert built == [[self.BOUND - 1, self.BOUND - 2]]
+        assert cells == [
+            (m, _traffic_cell(n, r, m, k, construction, model, x, 200, 3, None))
+            for m in m_values
+        ]
+
+    def test_all_certified_batch_builds_no_state(self, monkeypatch):
+        n, r, k, construction, model, x = self.SHAPE
+
+        def refuse(*args):
+            raise AssertionError("a certified column reached the replay")
+
+        monkeypatch.setattr(batch_module, "make_state", refuse)
+        cells = simulate_batch(
+            n, r, k, construction, model, x, 200, None, 0,
+            [self.BOUND, self.BOUND + 5],
+        )
+        setups = sum(
+            1
+            for op in compile_stream(model, n, r, k, 200, 0)
+            if op[0] == 1
+        )
+        assert cells == [
+            (self.BOUND, (setups, 0)), (self.BOUND + 5, (setups, 0)),
+        ]
+        with pytest.raises(ValueError, match="unknown batch backend"):
+            simulate_batch(
+                n, r, k, construction, model, x, 200, None, 0,
+                [self.BOUND], "fortran",
+            )
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_certified_replay_cell_has_no_causes(self, backend):
+        n, r, k, construction, model, x = self.SHAPE
+        with fused_runnable():
+            outcome = replay_cell(
+                n, r, self.BOUND, k, construction=construction, model=model,
+                x=x, steps=300, seed=0, backend=backend, record_causes=True,
+            )
+        assert outcome.blocked == 0
+        assert outcome.causes == ()
+        assert outcome.attempts == _traffic_cell(
+            n, r, self.BOUND, k, construction, model, x, 300, 0, None
+        )[0]
+
+    def test_obs_counts_certified_cells(self):
+        n, r, k, construction, model, x = self.SHAPE
+        m_values = list(range(self.BOUND - 2, self.BOUND + 3))
+        with obs.capture() as run:
+            simulate_batch(
+                n, r, k, construction, model, x, 150, None, 0, m_values,
+            )
+        counters = run.metrics.snapshot()["counters"]
+        assert counters["mc.certified_cells"] == 3
+        assert counters["mc.cells"] == 5
+        with obs.capture() as run:
+            simulate_batch(
+                n, r, k, construction, model, x, 150, None, 0,
+                [self.BOUND - 1],
+            )
+        assert "mc.certified_cells" not in run.metrics.snapshot()["counters"]
+
+    def test_awg_clos_never_certifies(self):
+        spec = fabrics.get_fabric("awg_clos")
+        for k in (1, 2, 3):
+            for m in (1, 9, 64, 200):
+                geometry = FabricGeometry(
+                    n=3, r=3, k=k, m=m,
+                    construction=Construction.MSW_DOMINANT,
+                    model=MulticastModel.MSW, x=1, fabric="awg_clos",
+                )
+                assert not spec.certifies(geometry)
+                assert spec.certified_bound(geometry) is None
+
+    def test_crossbar_certifies_every_column(self):
+        spec = fabrics.get_fabric("crossbar")
+        for m in (1, 2, 100):
+            assert spec.certifies(
+                FabricGeometry(
+                    n=2, r=2, k=2, m=m,
+                    construction=Construction.MSW_DOMINANT,
+                    model=MulticastModel.MSW, x=1, fabric="crossbar",
+                )
+            )
+
+    def test_debug_checks_name_the_bound_of_a_false_certificate(
+        self, monkeypatch
+    ):
+        """A certificate that skips a blocking column cannot go unnoticed."""
+        forged = dataclasses.replace(
+            fabrics.CLOS, certificate=lambda *shape: 1
+        )
+        monkeypatch.setitem(fabrics._REGISTRY, "clos", forged)
+        with pytest.raises(AssertionError) as excinfo:
+            api.blocking(
+                2, 2, 1, 1,
+                traffic=api.UniformConfig(steps=150, seeds=(0,)),
+                search=api.SearchConfig(debug_checks=True),
+            )
+        message = str(excinfo.value)
+        assert "(m=1, seed=0" in message
+        assert "certified by corrected bound m>=1" in message
 
 
 class TestObsGuard:

@@ -156,7 +156,12 @@ on the `auto` backend; override it with the `WDM_REPRO_BATCH_BACKEND`
 environment variable. `wdm-repro kernels` prints backend availability.
 `repro.analysis.montecarlo._traffic_cell` stays as the serial oracle:
 `SearchConfig(debug_checks=True)` replays every freshly computed Clos
-cell through it and raises on any disagreement.
+cell through it and raises on any disagreement. Columns a fabric's
+zero-blocking certificate covers (`FabricSpec.certifies`: for the Clos,
+`m` at or above the corrected Theorem 1/2 bound at the cell's `x`)
+skip the replay; their outcome -- every setup admitted, every teardown
+released -- is exact, and the `mc.certified_cells` obs counter counts
+them.
 """,
     "repro.perf.adaptive": """\
 ### Sequential stopping instead of fixed budgets
@@ -191,8 +196,9 @@ covering the cell and the schedule shape -- but *not* the precision
 target -- so an interrupted sweep replays warm rounds bit-identically
 (`wdm-repro sweep --resume`), and tightening the target reuses every
 round already paid for.  `tools/check_resume.py` (CI) SIGKILLs a
-sweep mid-run and asserts the resumed table equals an uninterrupted
-run's byte for byte.
+sweep mid-run -- retrying with a bisected kill time until the kill
+leaves a partial round cache -- and asserts the resumed table equals
+an uninterrupted run's byte for byte.
 """,
     "repro.workloads": """\
 ### The traffic seam
